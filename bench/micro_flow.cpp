@@ -9,6 +9,7 @@
 //                  the recorded perf trajectory tools/ci.sh smoke-checks.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 
 #include "flow/mcf_reference.hpp"
@@ -92,9 +93,12 @@ bench::PerfCase run_solver_case(const std::string& name, SolverFn solver,
   c.add("dijkstra_calls", static_cast<double>(r.dijkstra_calls));
   c.add("phases", static_cast<double>(r.phases));
   c.add("lambda", r.lambda);
-  std::printf("  %-32s %10.2f ms  dijkstra=%lld phases=%d lambda=%.4f\n",
-              name.c_str(), ns / 1e6,
-              static_cast<long long>(r.dijkstra_calls), r.phases, r.lambda);
+  // The frozen reference proves no upper bound (it reports +infinity).
+  if (std::isfinite(r.lambda_upper)) c.add("lambda_upper", r.lambda_upper);
+  std::printf(
+      "  %-32s %10.2f ms  dijkstra=%lld phases=%d lambda=%.4f upper=%.4f\n",
+      name.c_str(), ns / 1e6, static_cast<long long>(r.dijkstra_calls),
+      r.phases, r.lambda, r.lambda_upper);
   return c;
 }
 

@@ -49,6 +49,7 @@ FluidPointRecord compute_point(const topo::Topology& topo,
   FluidPointRecord rec;
   rec.point.fraction = x;
   rec.point.throughput = r.lambda;  // feasible even when budgeted
+  rec.point.upper = r.upper;
   rec.status = r.status;
   return rec;
 }
@@ -113,13 +114,12 @@ std::vector<FluidPointRecord> fluid_sweep_resilient(
       sweep.threads);
 
   // Points whose computation *escaped* (exception / check failure) never
-  // filled their slot: give them their fraction, a zero throughput, and
+  // filled their slot: give them their fraction, zero bounds, and
   // the captured status, and journal the failure so a resume does not
   // retry a known-poisoned point forever.
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (!statuses[i].ok() && statuses[i] != out[i].status) {
-      out[i].point.fraction = sweep.fractions[i];
-      out[i].point.throughput = 0.0;
+      out[i].point = {sweep.fractions[i], 0.0, 0.0};
       out[i].status = statuses[i];
       if (opts.journal != nullptr) {
         (void)opts.journal->append(
@@ -157,7 +157,8 @@ JournalRecord to_journal_record(const std::string& key_prefix,
   j.code = rec.status.code();
   j.message = rec.status.message();
   j.values = {{"fraction", rec.point.fraction},
-              {"throughput", rec.point.throughput}};
+              {"throughput", rec.point.throughput},
+              {"upper", rec.point.upper}};
   return j;
 }
 
@@ -165,6 +166,7 @@ FluidPointRecord from_journal_record(const JournalRecord& rec) {
   FluidPointRecord r;
   r.point.fraction = rec.value("fraction");
   r.point.throughput = rec.value("throughput");
+  r.point.upper = rec.value("upper");
   r.status = Status(rec.code, rec.message);
   return r;
 }

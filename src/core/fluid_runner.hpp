@@ -23,7 +23,8 @@ enum class TmFamily {
 
 struct FluidPoint {
   double fraction = 0.0;    // of racks (and thus servers) with demand
-  double throughput = 0.0;  // per-server, fraction of line rate
+  double throughput = 0.0;  // per-server, fraction of line rate (feasible)
+  double upper = 0.0;       // the solver's proven upper bound on the optimum
 };
 
 struct FluidSweepOptions {
@@ -56,8 +57,9 @@ struct FluidSweepOptions {
 std::vector<FluidPoint> fluid_sweep(const topo::Topology& topo,
                                     const FluidSweepOptions& opts);
 
-// Order-sensitive digest of a sweep's results (exact double bits), for
-// same-seed determinism comparisons across thread counts and runs.
+// Order-sensitive digest of a sweep's (fraction, throughput) pairs (exact
+// double bits), for same-seed determinism comparisons across thread counts
+// and runs. `upper` is left out, so the digest names the reported values.
 std::uint64_t fluid_sweep_digest(const std::vector<FluidPoint>& points);
 
 // ---------------------------------------------------------------------------
@@ -114,8 +116,8 @@ std::vector<FluidPointRecord> fluid_sweep_resilient(
 std::uint64_t fluid_sweep_digest(const std::vector<FluidPointRecord>& records);
 
 // The journal form of one record (key "<key_prefix>/<index>", values
-// "fraction" and "throughput"), and its inverse. Exposed for the bench
-// drivers and the kill/resume tests.
+// "fraction", "throughput" and "upper"), and its inverse. Exposed for the
+// bench drivers and the kill/resume tests.
 JournalRecord to_journal_record(const std::string& key_prefix,
                                 std::size_t index,
                                 const FluidPointRecord& rec);

@@ -98,7 +98,7 @@ McfResult max_concurrent_flow(int num_nodes,
   // install time instead of being re-scanned every inner iteration.
   struct CachedPath {
     std::vector<std::int32_t> edges;  // dst -> src order
-    double length_at_compute = -1.0;  // < 0 -> invalid
+    double length_at_compute = 0.0;   // its length when installed
     double bottleneck = kInf;
   };
   std::vector<CachedPath> cache(commodities.size());
@@ -135,35 +135,71 @@ McfResult max_concurrent_flow(int num_nodes,
     return s;
   };
 
-  // Audit state (common/check.hpp): raw flow per edge, per-commodity node
-  // imbalance (out minus in), and per-commodity total routed -- enough to
+  // Raw flow routed per edge. After P completed phases every commodity has
+  // routed P * demand, so scaling that flow by its measured maximum
+  // congestion is feasible: P / max_e(flow_e / c_e) is a lower bound on
+  // lambda*. GK's length invariant bounds flow_e by c_e * scale, so this
+  // never falls below GK's worst-case P / scale.
+  std::vector<double> edge_flow(m, 0.0);
+  double best_lower = 0.0;
+  double best_upper = kInf;
+  int completed_phases = 0;
+  auto tighten_lower = [&] {
+    double congestion = 0.0;
+    for (std::size_t e = 0; e < m; ++e) {
+      congestion = std::max(congestion, edge_flow[e] / capacity[e]);
+    }
+    if (congestion > 0.0) {
+      best_lower = std::max(
+          best_lower, static_cast<double>(completed_phases) / congestion);
+    }
+  };
+  // Weak LP duality: for any lengths l, lambda* <= D(l) / alpha(l) with
+  // alpha(l) = sum_j d_j * dist_l(s_j, t_j). One SSSP per source group
+  // gives alpha exactly, and running it through refresh_group also hands
+  // every member a fresh shortest path -- the check replaces refreshes the
+  // next phase would otherwise make.
+  auto tighten_upper = [&] {
+    double alpha = 0.0;
+    for (const SourceGroup& g : groups) {
+      refresh_group(g);
+      for (const auto ci : g.members) {
+        alpha += commodities[static_cast<std::size_t>(ci)].demand *
+                 cache[static_cast<std::size_t>(ci)].length_at_compute;
+      }
+    }
+    if (alpha > 0.0) best_upper = std::min(best_upper, dual / alpha);
+  };
+
+  // Audit state (common/check.hpp): per-commodity node imbalance (out minus
+  // in) and per-commodity total routed -- with edge_flow, enough to
   // mechanically verify capacity feasibility and flow conservation of the
   // solution GK implicitly constructs.
   const bool audit = audit_enabled();
-  std::vector<double> edge_flow;
   std::vector<std::vector<double>> imbalance;
   std::vector<double> routed;
   if (audit) {
-    edge_flow.assign(m, 0.0);
     imbalance.assign(commodities.size(),
                      std::vector<double>(static_cast<std::size_t>(num_nodes),
                                          0.0));
     routed.assign(commodities.size(), 0.0);
   }
 
-  int completed_phases = 0;
   // Hard cap on phases as a safety net; GK terminates in
-  // O(log(m)/eps^2) phases for lambda* >= 1 instances and we rescale below.
+  // O(log(m)/eps^2) phases for lambda* >= 1 instances.
   const int safety_cap = static_cast<int>(
       std::ceil(2.0 / (eps * eps) * std::log(static_cast<double>(m) / (1 - eps))) *
       40) + 50;
 
-  // Budgets are checked at phase boundaries only: a partial phase would
-  // have to be discarded anyway (lambda counts completed phases), and the
-  // boundary check keeps the routing sequence -- hence the result -- a
+  // Budgets and the certificate are checked at phase boundaries only: a
+  // partial phase adds no lower bound (lambda counts completed phases), and
+  // the boundary checks keep the routing sequence -- hence the result -- a
   // deterministic function of (input, budget), independent of when an
-  // external cancel token happened to flip mid-phase.
+  // external cancel token happened to flip mid-phase. The upper bound is
+  // also taken once before phase 1, which installs every first path.
+  tighten_upper();
   bool budget_stop = false;
+  bool certified = false;
   while (dual < 1.0 && completed_phases < safety_cap) {
     if ((limits.max_phases > 0 && completed_phases >= limits.max_phases) ||
         (limits.cancel != nullptr &&
@@ -174,9 +210,6 @@ McfResult max_concurrent_flow(int num_nodes,
     for (const SourceGroup& g : groups) {
       for (const auto ci : g.members) {
         const auto& cmd = commodities[static_cast<std::size_t>(ci)];
-        if (cache[static_cast<std::size_t>(ci)].length_at_compute < 0.0) {
-          refresh_group(g);
-        }
         // Current length of the cached path: re-summed once per visit
         // (other commodities grew shared edges since the last one), then
         // maintained incrementally from the growth this commodity applies
@@ -199,12 +232,12 @@ McfResult max_concurrent_flow(int num_nodes,
             length[ei] += grow;
             dual += grow * capacity[ei];
             grown += grow;
+            edge_flow[ei] += f;
           }
           cur_len += grown;
           if (audit) {
             routed[static_cast<std::size_t>(ci)] += f;
             for (const auto e : cp.edges) {
-              edge_flow[static_cast<std::size_t>(e)] += f;
               imbalance[static_cast<std::size_t>(ci)]
                        [static_cast<std::size_t>(
                            edges[static_cast<std::size_t>(e)].from)] += f;
@@ -219,16 +252,21 @@ McfResult max_concurrent_flow(int num_nodes,
       }
       if (dual >= 1.0) break;
     }
-    if (dual < 1.0) ++completed_phases;
+    if (dual >= 1.0) break;
+    ++completed_phases;
+    tighten_lower();
+    tighten_upper();
+    if (best_lower >= (1.0 - eps) * best_upper) {
+      certified = true;
+      break;
+    }
   }
 
   result.phases = completed_phases;
-  // Scaling: routing every demand `completed_phases` times while keeping
-  // all edge loads within capacity * log_{1+eps}(1/delta).
-  const double scale = std::log((1.0 + eps) / delta) / std::log(1.0 + eps);
-  result.lambda = static_cast<double>(completed_phases) / scale;
+  result.lambda = best_lower;
+  result.lambda_upper = best_upper;
 
-  if (dual < 1.0) {
+  if (!certified && dual < 1.0) {
     if (budget_stop) {
       result.status = budget_exhausted_error(
           "GK stopped after ", completed_phases,
@@ -246,13 +284,20 @@ McfResult max_concurrent_flow(int num_nodes,
     // length_e * c_e), so a budgeted exit is audited exactly like a
     // converged one -- the partial lambda must be honest too.
     // Capacity feasibility: GK's length invariant bounds the raw flow on
-    // every edge by capacity * scale, so flow/scale is feasible. A breach
-    // means the length updates (and hence lambda) are wrong.
+    // every edge by capacity * scale, with scale = log_{1+eps}((1+eps) /
+    // delta), so flow/scale is feasible. A breach means the length updates
+    // (and hence lambda) are wrong.
+    const double scale =
+        std::log((1.0 + eps) / delta) / std::log(1.0 + eps);
     for (std::size_t e = 0; e < m; ++e) {
       FLEXNETS_CHECK_LE(
           edge_flow[e], capacity[e] * scale * (1.0 + 1e-9) + 1e-12,
           "GK routed past the capacity*scale bound on edge ", e);
     }
+    // Weak duality: a feasible lambda above a dual bound means one of the
+    // two bounds is wrong.
+    FLEXNETS_CHECK_LE(result.lambda, result.lambda_upper * (1.0 + 1e-9),
+                      "GK lower bound exceeds its LP-duality upper bound");
     // Flow conservation: per commodity, net outflow is +routed at the
     // source, -routed at the destination, ~0 elsewhere.
     for (std::size_t ci = 0; ci < commodities.size(); ++ci) {

@@ -1,12 +1,14 @@
 // Maximum concurrent multicommodity flow via the Garg-Koenemann FPTAS
 // (Garg & Koenemann, FOCS 1998 / SICOMP 2007, with Fleischer's phase
-// organization).
+// organization), stopped by an LP-duality certificate.
 //
 // Given a directed capacitated graph and commodities (src, dst, demand),
-// computes lambda such that lambda * demand_i is simultaneously routable
-// for every commodity, with lambda >= (1 - eps)^3 * lambda_opt. This stands
-// in for the exact LP the paper solves with a commercial solver (see
-// DESIGN.md substitutions).
+// computes a certified interval [lambda, lambda_upper] around the optimal
+// concurrent-flow fraction lambda*: lambda * demand_i is simultaneously
+// routable for every commodity, and lambda_upper >= lambda* by weak
+// duality. The solver stops as soon as lambda >= (1 - eps) * lambda_upper.
+// This stands in for the exact LP the paper solves with a commercial
+// solver (see DESIGN.md substitutions).
 //
 // The hot path runs on a flat CSR adjacency and a 4-ary-heap Dijkstra
 // (flow/solver_internals.hpp) and serves commodities grouped by source
@@ -16,6 +18,7 @@
 #pragma once
 
 #include <atomic>
+#include <limits>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -36,9 +39,9 @@ struct McfCommodity {
 };
 
 // Cooperative budgets for the GK loop. GK is primal: lambda after k
-// completed phases is always feasible, so stopping early degrades the
-// approximation guarantee but never the feasibility of the reported
-// value -- a budgeted run returns the best lambda proven so far.
+// completed phases is always feasible, so stopping early loosens the
+// certificate but never the feasibility of the reported value -- a
+// budgeted run returns the best lambda proven so far.
 struct McfLimits {
   // Stop after this many completed phases; 0 = no explicit budget (the
   // internal non-convergence safety cap still applies).
@@ -53,12 +56,21 @@ struct McfLimits {
 };
 
 struct McfResult {
-  double lambda = 0.0;   // guaranteed-feasible concurrent-flow fraction
+  // Feasible concurrent-flow fraction: the best lower bound any completed
+  // phase proved (its routed flow scaled by its measured congestion).
+  double lambda = 0.0;
+  // Smallest LP-duality upper bound on lambda* seen (checked before phase
+  // 1 and after every completed phase); +infinity when none was computed
+  // (empty instance, reference solver).
+  double lambda_upper = std::numeric_limits<double>::infinity();
   int phases = 0;        // completed GK phases
   long long dijkstra_calls = 0;
-  // kOk when the (1-eps)^3 guarantee holds; kBudgetExhausted when an
-  // McfLimits budget stopped the loop first (lambda is the feasible
-  // partial); kNonConverged when the internal safety cap fired.
+  // kOk when the solve finished: either the certificate closed
+  // (lambda >= (1-eps) * lambda_upper >= (1-eps) * lambda*), or GK's own
+  // D(l) >= 1 stop fired first, which keeps lambda >= (1-eps)^3 * lambda*.
+  // kBudgetExhausted when an McfLimits budget stopped the loop first;
+  // kNonConverged when the internal safety cap fired. Every status
+  // reports the feasible lambda and the proven lambda_upper so far.
   Status status;
 };
 

@@ -11,11 +11,18 @@ namespace flexnets::flow {
 
 namespace {
 
-// Shared implementation of the plain and budget-aware entries; the solver
-// status is reported through `solver_status` when non-null.
-double throughput_impl(const topo::Topology& t, const TrafficMatrix& tm,
-                       const ThroughputOptions& opts,
-                       const ThroughputCache& cache, Status* solver_status);
+// Shared implementation of the plain and budget-aware entries.
+ThroughputResult throughput_impl(const topo::Topology& t,
+                                 const TrafficMatrix& tm,
+                                 const ThroughputOptions& opts,
+                                 const ThroughputCache& cache);
+
+// A hose-model solve's bounds: lambda* <= 1 by construction (every
+// commodity leaves through its rack's out-demand edge), so both clamp.
+ThroughputResult to_throughput(const McfResult& r) {
+  return {std::clamp(r.lambda, 0.0, 1.0),
+          std::clamp(r.lambda_upper, 0.0, 1.0), r.status};
+}
 
 std::uint64_t topology_digest(const topo::Topology& t) {
   Digest d;
@@ -144,22 +151,21 @@ ThroughputResult per_server_throughput_budgeted(const topo::Topology& t,
                                                 const TrafficMatrix& tm,
                                                 const ThroughputOptions& opts,
                                                 const ThroughputCache& cache) {
-  ThroughputResult out;
-  out.lambda = throughput_impl(t, tm, opts, cache, &out.status);
-  return out;
+  return throughput_impl(t, tm, opts, cache);
 }
 
 double per_server_throughput(const topo::Topology& t, const TrafficMatrix& tm,
                              const ThroughputOptions& opts,
                              const ThroughputCache& cache) {
-  return throughput_impl(t, tm, opts, cache, nullptr);
+  return throughput_impl(t, tm, opts, cache).lambda;
 }
 
 namespace {
 
-double throughput_impl(const topo::Topology& t, const TrafficMatrix& tm,
-                       const ThroughputOptions& opts,
-                       const ThroughputCache& cache, Status* solver_status) {
+ThroughputResult throughput_impl(const topo::Topology& t,
+                                 const TrafficMatrix& tm,
+                                 const ThroughputOptions& opts,
+                                 const ThroughputCache& cache) {
   if (audit_enabled()) {
     // Stale-handoff audit: the cache must describe exactly the topology
     // this evaluation runs on. Catches a sweep wiring the wrong (or a
@@ -172,14 +178,11 @@ double throughput_impl(const topo::Topology& t, const TrafficMatrix& tm,
     FLEXNETS_CHECK_EQ(cache.topo_digest, topology_digest(t),
                       "throughput cache digest mismatch (stale handoff)");
   }
-  if (tm.commodities.empty()) return 0.0;
+  if (tm.commodities.empty()) return {};
 
   const auto inst = build_mcf_instance(cache, tm);
-  const auto r =
-      max_concurrent_flow(inst.num_nodes, inst.edges, inst.commodities,
-                          opts.eps, opts.limits);
-  if (solver_status != nullptr) *solver_status = r.status;
-  return std::clamp(r.lambda, 0.0, 1.0);
+  return to_throughput(max_concurrent_flow(
+      inst.num_nodes, inst.edges, inst.commodities, opts.eps, opts.limits));
 }
 
 }  // namespace
@@ -193,7 +196,6 @@ ThroughputResult per_server_throughput_budgeted(
     const topo::CsrTopology& t, const TmView& tm,
     const ThroughputOptions& opts, const ThroughputCache& cache,
     std::int64_t max_commodities) {
-  ThroughputResult out;
   if (audit_enabled()) {
     // Same stale-handoff audit as the oracle path, against the CSR digest.
     FLEXNETS_CHECK_EQ(cache.num_switches, t.num_switches,
@@ -203,18 +205,13 @@ ThroughputResult per_server_throughput_budgeted(
     FLEXNETS_CHECK_EQ(cache.topo_digest, t.digest(),
                       "throughput cache digest mismatch (stale handoff)");
   }
-  if (tm.empty()) return out;
+  if (tm.empty()) return {};
 
   auto inst = build_mcf_instance(cache, tm, max_commodities);
-  if (!inst.ok()) {
-    out.status = inst.status();
-    return out;
-  }
-  const auto r = max_concurrent_flow(inst->num_nodes, inst->edges,
-                                     inst->commodities, opts.eps, opts.limits);
-  out.status = r.status;
-  out.lambda = std::clamp(r.lambda, 0.0, 1.0);
-  return out;
+  if (!inst.ok()) return {0.0, 0.0, inst.status()};
+  return to_throughput(max_concurrent_flow(inst->num_nodes, inst->edges,
+                                           inst->commodities, opts.eps,
+                                           opts.limits));
 }
 
 double per_server_throughput(const topo::CsrTopology& t, const TmView& tm,

@@ -31,10 +31,14 @@ struct ThroughputOptions {
 double per_server_throughput(const topo::Topology& t, const TrafficMatrix& tm,
                              const ThroughputOptions& opts = {});
 
-// Budget-aware form: `lambda` is always feasible (GK is primal), `status`
-// is kBudgetExhausted / kNonConverged when the solve stopped early.
+// Budget-aware form: `lambda` is always feasible (GK is primal) and
+// `upper` is the solver's proven upper bound on the optimum, both clamped
+// to [0, 1]; McfResult (flow/mcf.hpp) states what an ok status guarantees.
+// `status` is kBudgetExhausted / kNonConverged when the solve stopped
+// early. Both bounds read 0 when no solve ran (empty TM, refused instance).
 struct ThroughputResult {
   double lambda = 0.0;
+  double upper = 0.0;
   Status status;
 };
 

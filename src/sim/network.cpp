@@ -288,6 +288,10 @@ void PacketNetwork::pdes_begin(const std::vector<workload::FlowSpec>& flows) {
                  "pdes: throughput timelines are serial-only");
   FLEXNETS_CHECK(loss_timeline_ == nullptr,
                  "pdes: loss timelines are serial-only");
+  FLEXNETS_CHECK(cfg_.routing.mode != routing::RoutingMode::kKsp,
+                 "pdes: KSP routing is serial-only (KspTable::paths fills its "
+                 "path cache on first use without a lock, a data race "
+                 "between LP threads)");
   pending_flows_ = &flows;
   open_flows(flows);
 }

@@ -1,11 +1,10 @@
 // Property suite for the cheap throughput bracket: on every family/TM pair
-// small enough to solve, the bracket must contain the GK lambda. GK is
-// primal with lambda_reported >= (1-eps)^3 * lambda_true, so containment is
-// checked as
-//     lower <= gk / (1-eps)^3 + tol     (lower <= lambda_true)
-//     gk <= upper + tol                 (lambda_true <= upper)
+// small enough to solve, the bracket must overlap GK's certified interval
+// [gk.lambda, gk.upper], which contains lambda_true. Both are sound, so
+//     bracket.lower <= gk.upper + tol   (bracket.lower <= lambda_true)
+//     gk.lambda <= bracket.upper + tol  (lambda_true <= bracket.upper)
 // Everything runs under FLEXNETS_AUDIT so the bracket's internal
-// lower-vs-upper audit checks fire too.
+// lower-vs-upper audit checks and GK's lower-vs-dual audit fire too.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -29,10 +28,6 @@ namespace {
 constexpr double kEps = 0.1;
 constexpr double kTol = 1e-9;
 
-double gk_upper_margin(double gk) {
-  return gk / ((1.0 - kEps) * (1.0 - kEps) * (1.0 - kEps));
-}
-
 void expect_bracket_contains_gk(const topo::CsrTopology& t, const TmView& tm,
                                 const std::string& label) {
   AuditScope audit(true);
@@ -42,12 +37,15 @@ void expect_bracket_contains_gk(const topo::CsrTopology& t, const TmView& tm,
   EXPECT_GE(br.lower, 0.0) << label;
   EXPECT_LE(br.upper, 1.0 + kTol) << label;
 
-  const double gk = per_server_throughput(t, tm, {kEps, {}});
-  EXPECT_LE(br.lower, gk_upper_margin(gk) + kTol)
+  const auto gk = per_server_throughput_budgeted(
+      t, tm, {kEps, {}}, build_throughput_cache(t));
+  ASSERT_TRUE(gk.status.ok()) << label << ": " << gk.status.to_string();
+  EXPECT_LE(br.lower, gk.upper + kTol)
       << label << ": constructive lower " << br.lower
-      << " exceeds any lambda consistent with gk " << gk;
-  EXPECT_LE(gk, br.upper + kTol)
-      << label << ": upper " << br.upper << " cut below gk " << gk;
+      << " exceeds GK's dual bound " << gk.upper;
+  EXPECT_LE(gk.lambda, br.upper + kTol)
+      << label << ": upper " << br.upper << " cut below GK's feasible "
+      << gk.lambda;
 }
 
 void expect_bracket_on_standard_tms(const topo::CsrTopology& t,

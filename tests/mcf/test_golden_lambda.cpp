@@ -10,6 +10,10 @@
 // Agreement is relative: |opt - ref| <= 3 * eps * ref. Both solvers carry
 // the same (1 - O(eps)) FPTAS guarantee, so a wider drift means one of
 // them lost its invariant, not that "optimization changed rounding".
+// The optimized solver's certificate is checked against the reference
+// too: its LP-duality upper bound may never cut below the reference's
+// feasible lambda, and every golden case must stop on the certificate
+// (ok status with lambda >= (1 - eps) * upper), not on GK's D(l) >= 1.
 #include <gtest/gtest.h>
 
 #include "flow/mcf.hpp"
@@ -43,6 +47,12 @@ void expect_agreement(const GoldenPair& g, double eps) {
   ASSERT_GT(g.ref.lambda, 0.0);
   EXPECT_NEAR(g.opt.lambda, g.ref.lambda, 3.0 * eps * g.ref.lambda)
       << "optimized solver drifted out of the 3*eps band";
+  EXPECT_GE(g.opt.lambda_upper, g.ref.lambda)
+      << "dual bound cut below the reference's feasible lambda";
+  ASSERT_TRUE(g.opt.status.ok()) << g.opt.status.to_string();
+  EXPECT_GE(g.opt.lambda, (1.0 - eps) * g.opt.lambda_upper)
+      << "ok status with an open interval [" << g.opt.lambda << ", "
+      << g.opt.lambda_upper << "]";
 }
 
 TEST(GoldenLambda, FatTreeK4AllToAllNearOne) {
@@ -75,7 +85,7 @@ TEST(GoldenLambda, FatTreeK4AllToAllDijkstraReduction) {
 
 TEST(GoldenLambda, ToySection41Matching) {
   // The section 4.1 static wiring on its hard longest-matching TM; the
-  // EXPERIMENTS.md pinned value is ~0.96 at eps=0.04.
+  // EXPERIMENTS.md pinned value is ~0.99 at eps=0.04.
   const double eps = 0.05;
   const auto toy = topo::toy_section41();
   const auto tm = longest_matching_tm(toy.topo, toy.active_tors);

@@ -41,6 +41,8 @@ void expect_bit_identical(const std::vector<FluidPoint>& serial,
         << what << " point " << i << " fraction";
     EXPECT_EQ(bits_of(serial[i].throughput), bits_of(parallel[i].throughput))
         << what << " point " << i << " throughput";
+    EXPECT_EQ(bits_of(serial[i].upper), bits_of(parallel[i].upper))
+        << what << " point " << i << " upper";
   }
   EXPECT_EQ(fluid_sweep_digest(serial), fluid_sweep_digest(parallel)) << what;
 }

@@ -232,6 +232,14 @@ TEST_F(PdesPartitionTest, RejectsSerialOnlyFeaturesAndEventBudgets) {
   net.set_timeline(&timeline);
   const std::vector<workload::FlowSpec> flows{{0, 0, 1, 64 * kKB}};
   EXPECT_THROW(sim::pdes::run_parallel(net, flows, {}), CheckFailure);
+
+  // KSP fills its path cache lazily and unlocked, so LP threads would
+  // race on it: refused before any thread starts.
+  cfg.routing.mode = routing::RoutingMode::kKsp;
+  sim::PacketNetwork ksp_net(t, cfg);
+  sim::pdes::RunnerConfig pcfg;
+  pcfg.threads = 2;
+  EXPECT_THROW(sim::pdes::run_parallel(ksp_net, flows, pcfg), CheckFailure);
 }
 
 }  // namespace

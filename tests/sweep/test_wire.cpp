@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -57,9 +58,16 @@ TEST(WireFormat, ResultFrameEmbeddedRecordSurvivesEscaping) {
 }
 
 struct RejectCase {
+  const char* name;      // stable label for the case
   const char* line;
   const char* fragment;  // what the diagnostic must mention
 };
+
+// Without this, gtest prints a RejectCase as its raw bytes: two string
+// pointers that move on every run under ASLR. CTest's test discovery names
+// each case after that printout, so the names would change from build to
+// build; print the fixed label instead.
+void PrintTo(const RejectCase& c, std::ostream* os) { *os << c.name; }
 
 class WireReject : public ::testing::TestWithParam<RejectCase> {};
 
@@ -75,33 +83,45 @@ TEST_P(WireReject, YieldsInvalidInput) {
 INSTANTIATE_TEST_SUITE_P(
     Malformed, WireReject,
     ::testing::Values(
-        RejectCase{"", "expected '{'"},
-        RejectCase{"not json", "expected '{'"},
-        RejectCase{"{\"type\":\"lease\",\"index\":1,\"attempt\":1",
+        RejectCase{"empty_line", "", "expected '{'"},
+        RejectCase{"not_json", "not json", "expected '{'"},
+        RejectCase{"unterminated_object",
+                   "{\"type\":\"lease\",\"index\":1,\"attempt\":1",
                    "expected '}'"},
-        RejectCase{"{\"type\":\"warp\"}", "unknown type"},
-        RejectCase{"{\"index\":3,\"attempt\":1}", "missing type"},
-        RejectCase{"{\"type\":\"lease\",\"index\":1,\"attempt\":1,"
+        RejectCase{"unknown_type", "{\"type\":\"warp\"}", "unknown type"},
+        RejectCase{"missing_type", "{\"index\":3,\"attempt\":1}",
+                   "missing type"},
+        RejectCase{"unknown_field",
+                   "{\"type\":\"lease\",\"index\":1,\"attempt\":1,"
                    "\"extra\":9}",
                    "unknown field"},
-        RejectCase{"{\"type\":\"ready\",\"index\":0,\"attempt\":1}",
+        RejectCase{"ready_with_index",
+                   "{\"type\":\"ready\",\"index\":0,\"attempt\":1}",
                    "index+attempt exactly when defined"},
-        RejectCase{"{\"type\":\"lease\",\"index\":1}",
+        RejectCase{"lease_without_attempt",
+                   "{\"type\":\"lease\",\"index\":1}",
                    "index+attempt exactly when defined"},
-        RejectCase{"{\"type\":\"lease\",\"index\":1,\"attempt\":0}",
+        RejectCase{"attempt_zero",
+                   "{\"type\":\"lease\",\"index\":1,\"attempt\":0}",
                    "malformed attempt"},
-        RejectCase{"{\"type\":\"lease\",\"index\":1,\"attempt\":1000001}",
+        RejectCase{"attempt_too_large",
+                   "{\"type\":\"lease\",\"index\":1,\"attempt\":1000001}",
                    "malformed attempt"},
-        RejectCase{"{\"type\":\"lease\",\"index\":-2,\"attempt\":1}",
+        RejectCase{"negative_index",
+                   "{\"type\":\"lease\",\"index\":-2,\"attempt\":1}",
                    "malformed index"},
-        RejectCase{"{\"type\":\"result\",\"index\":0,\"attempt\":1}",
+        RejectCase{"result_without_record",
+                   "{\"type\":\"result\",\"index\":0,\"attempt\":1}",
                    "requires record"},
-        RejectCase{"{\"type\":\"start\",\"index\":0,\"attempt\":1,"
+        RejectCase{"start_with_record",
+                   "{\"type\":\"start\",\"index\":0,\"attempt\":1,"
                    "\"record\":\"x\"}",
                    "forbids record"},
-        RejectCase{"{\"type\":\"error\"}", "requires message"},
-        RejectCase{"{\"type\":\"shutdown\"}}", "trailing garbage"},
-        RejectCase{"{\"type\":\"lease\",\"type\":\"lease\"}",
+        RejectCase{"error_without_message", "{\"type\":\"error\"}",
+                   "requires message"},
+        RejectCase{"trailing_garbage", "{\"type\":\"shutdown\"}}",
+                   "trailing garbage"},
+        RejectCase{"repeated_type", "{\"type\":\"lease\",\"type\":\"lease\"}",
                    "repeated type"}));
 
 TEST(WireOrder, StartAndResultMustNameTheOutstandingLease) {

@@ -10,6 +10,21 @@ namespace {
 constexpr double kEps = 0.03;    // solver accuracy used in tests
 constexpr double kTol = 0.12;    // acceptance band around the exact optimum
 
+// The solver's certificate against a known optimum: the feasible lambda
+// and the LP-duality bound bracket lambda_opt (up to rounding), and an ok
+// status means the interval closed to within (1 - eps) -- on these small
+// instances the certificate always fires before GK's D(l) >= 1 stop.
+void expect_certificate(const McfResult& r, double lambda_opt, double eps) {
+  EXPECT_LE(r.lambda, lambda_opt * (1.0 + 1e-9)) << "lower above optimum";
+  EXPECT_GE(r.lambda_upper, lambda_opt * (1.0 - 1e-9))
+      << "upper below optimum";
+  if (r.status.ok()) {
+    EXPECT_GE(r.lambda, (1.0 - eps) * r.lambda_upper)
+        << "ok status with an open interval [" << r.lambda << ", "
+        << r.lambda_upper << "]";
+  }
+}
+
 TEST(Mcf, SingleEdgeSingleCommodity) {
   // One edge of capacity 2, demand 1 -> lambda* = 2 (but GK routes demand
   // fully each phase; lambda can exceed 1).
@@ -17,6 +32,7 @@ TEST(Mcf, SingleEdgeSingleCommodity) {
   std::vector<McfCommodity> cmds{{0, 1, 1.0}};
   const auto r = max_concurrent_flow(2, edges, cmds, kEps);
   EXPECT_NEAR(r.lambda, 2.0, 2.0 * kTol);
+  expect_certificate(r, 2.0, kEps);
 }
 
 TEST(Mcf, BottleneckSharedByTwoCommodities) {
@@ -27,6 +43,7 @@ TEST(Mcf, BottleneckSharedByTwoCommodities) {
   std::vector<McfCommodity> cmds{{0, 4, 1.0}, {3, 5, 1.0}};
   const auto r = max_concurrent_flow(6, edges, cmds, kEps);
   EXPECT_NEAR(r.lambda, 0.5, 0.5 * kTol);
+  expect_certificate(r, 0.5, kEps);
 }
 
 TEST(Mcf, ParallelPathsAggregateCapacity) {
@@ -37,6 +54,7 @@ TEST(Mcf, ParallelPathsAggregateCapacity) {
   std::vector<McfCommodity> cmds{{0, 3, 1.0}};
   const auto r = max_concurrent_flow(4, edges, cmds, kEps);
   EXPECT_NEAR(r.lambda, 2.0, 2.0 * kTol);
+  expect_certificate(r, 2.0, kEps);
 }
 
 TEST(Mcf, MustSplitAcrossUnequalPaths) {
@@ -46,6 +64,7 @@ TEST(Mcf, MustSplitAcrossUnequalPaths) {
   std::vector<McfCommodity> cmds{{0, 3, 4.0}};
   const auto r = max_concurrent_flow(4, edges, cmds, kEps);
   EXPECT_NEAR(r.lambda, 1.0, kTol);
+  expect_certificate(r, 1.0, kEps);
 }
 
 TEST(Mcf, TriangleAllToAll) {
@@ -63,6 +82,7 @@ TEST(Mcf, TriangleAllToAll) {
   }
   const auto r = max_concurrent_flow(3, edges, cmds, kEps);
   EXPECT_NEAR(r.lambda, 1.0, kTol);
+  expect_certificate(r, 1.0, kEps);
 }
 
 TEST(Mcf, LambdaScalesWithCapacity) {
@@ -73,6 +93,8 @@ TEST(Mcf, LambdaScalesWithCapacity) {
   const auto r1 = max_concurrent_flow(3, e1, cmds, kEps);
   const auto r2 = max_concurrent_flow(3, e2, cmds, kEps);
   EXPECT_NEAR(r2.lambda / r1.lambda, 2.0, 0.15);
+  expect_certificate(r1, 1.0, kEps);
+  expect_certificate(r2, 2.0, kEps);
 }
 
 TEST(Mcf, EmptyInstances) {
@@ -89,6 +111,7 @@ TEST(Mcf, LongChainUnitCapacity) {
   std::vector<McfCommodity> cmds{{0, 10, 2.0}};
   const auto r = max_concurrent_flow(11, edges, cmds, kEps);
   EXPECT_NEAR(r.lambda, 0.5, 0.5 * kTol);
+  expect_certificate(r, 0.5, kEps);
 }
 
 // Property sweep: the approximation guarantee must hold across eps values.
@@ -103,6 +126,7 @@ TEST_P(McfEpsilon, WithinGuaranteeOnKnownInstance) {
   const auto r = max_concurrent_flow(6, edges, cmds, eps);
   EXPECT_LE(r.lambda, 0.5 * 1.02);              // never above optimum
   EXPECT_GE(r.lambda, 0.5 * (1.0 - 3.5 * eps));  // FPTAS lower bound
+  expect_certificate(r, 0.5, eps);
 }
 
 INSTANTIATE_TEST_SUITE_P(EpsSweep, McfEpsilon,

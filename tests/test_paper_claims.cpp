@@ -15,17 +15,29 @@ namespace {
 TEST(PaperClaims, XpanderAndJellyfishPerformIdentically) {
   // Section 5: "We verified that Xpander and Jellyfish achieve identical
   // performance." Same equipment (48 switches, 7 network ports, 6 servers),
-  // same hard TMs: fluid throughput within a few percent at every fraction.
+  // same hard TMs: mean fluid throughput within a few percent at every
+  // active-rack count. One draw of active racks does not test the claim:
+  // at m = 10 the single-draw gap (Xpander minus Jellyfish) runs from
+  // -0.088 to +0.096 over draws 1-10, while the mean gap is -0.020 (m = 10)
+  // and -0.029 (m = 24). So each family is averaged over ten draws (all
+  // racks, m = 48, is a single draw).
   const auto xp = topo::xpander(7, 6, 6, /*seed=*/2).topo;  // 48 switches
   const auto jf = topo::jellyfish(48, 7, 6, /*seed=*/5);
+  const auto mean_lambda = [](const topo::Topology& t, int m, int draws) {
+    const auto cache = flow::build_throughput_cache(t);
+    double sum = 0.0;
+    for (int d = 1; d <= draws; ++d) {
+      const auto active =
+          flow::pick_active_racks(t, m, static_cast<std::uint64_t>(d));
+      sum += flow::per_server_throughput(
+          t, flow::longest_matching_tm(t, active), {0.05}, cache);
+    }
+    return sum / draws;
+  };
   for (const int m : {10, 24, 48}) {
-    const auto xa = flow::pick_active_racks(xp, m, 3);
-    const auto ja = flow::pick_active_racks(jf, m, 3);
-    const double xt = flow::per_server_throughput(
-        xp, flow::longest_matching_tm(xp, xa), {0.05});
-    const double jt = flow::per_server_throughput(
-        jf, flow::longest_matching_tm(jf, ja), {0.05});
-    EXPECT_NEAR(xt, jt, 0.08) << "m=" << m;
+    const int draws = m == 48 ? 1 : 10;
+    EXPECT_NEAR(mean_lambda(xp, m, draws), mean_lambda(jf, m, draws), 0.04)
+        << "m=" << m;
   }
 }
 

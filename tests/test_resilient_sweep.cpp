@@ -111,6 +111,7 @@ TEST(ResilientSweep, JournalRecordRoundTripsExactly) {
   FluidPointRecord rec;
   rec.point.fraction = 0.1;  // not exactly representable
   rec.point.throughput = 1.0 / 3.0;
+  rec.point.upper = 0.7;  // not exactly representable either
   rec.status = budget_exhausted_error("stopped after 3 phases");
 
   const auto j = to_journal_record("fig5a/jellyfish", 12, rec);
@@ -120,6 +121,7 @@ TEST(ResilientSweep, JournalRecordRoundTripsExactly) {
   const auto back = from_journal_record(*parsed);
   EXPECT_EQ(back.point.fraction, rec.point.fraction);
   EXPECT_EQ(back.point.throughput, rec.point.throughput);
+  EXPECT_EQ(back.point.upper, rec.point.upper);
   EXPECT_EQ(back.status, rec.status);
 }
 

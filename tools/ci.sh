@@ -42,7 +42,8 @@
 #      emit BENCH_MCF.json / BENCH_SIM.json / BENCH_SWEEP.json, bench_gray
 #      --json appends the resilience-showdown grid into BENCH_SIM.json,
 #      and the schema is validated (required keys present, lambda finite,
-#      gray cases carry a zero post_repair_blackholes).
+#      lambda_upper >= lambda, gray cases carry a zero
+#      post_repair_blackholes).
 #      Timings are recorded, not gated — absolute ns/op depends on the
 #      machine; the committed JSON trajectory is what reviewers eyeball
 #      for regressions.
@@ -337,6 +338,14 @@ for path, needs_lambda in (("BENCH_MCF.json", True), ("BENCH_SIM.json", False),
         require(lambdas, f"{path}: no case reports lambda")
         require(all(math.isfinite(l) and l > 0 for l in lambdas),
                 f"{path}: non-finite lambda")
+        # A certified solve reports its LP-duality upper bound; it may
+        # never sit below the feasible lambda.
+        certified = [c for c in cases if "lambda_upper" in c]
+        require(certified, f"{path}: no case reports lambda_upper")
+        for case in certified:
+            require(math.isfinite(case["lambda_upper"]) and
+                    case["lambda_upper"] >= case["lambda"],
+                    f"{path}: {case['name']}: lambda_upper < lambda")
     print(f"perf smoke: {path} schema OK ({len(cases)} case(s))")
 
 # Gray showdown cases merged into BENCH_SIM.json: every grid cell must

@@ -171,11 +171,12 @@ int cmd_fluid(const Args& args) {
 
   std::printf("topology: %s | TM: %s | eps: %.3f\n", t->name.c_str(),
               tm.c_str(), opts.eps);
-  std::printf("%-12s %-22s %s\n", "fraction", "per_server_throughput",
-              "status");
+  std::printf("%-12s %-22s %-8s %s\n", "fraction", "per_server_throughput",
+              "upper", "status");
   std::size_t failed = 0;
   for (const auto& r : records) {
-    std::printf("%-12.3f %-22.4f %s\n", r.point.fraction, r.point.throughput,
+    std::printf("%-12.3f %-22.4f %-8.4f %s\n", r.point.fraction,
+                r.point.throughput, r.point.upper,
                 r.status.ok() ? "ok" : r.status.to_string().c_str());
     if (!r.status.ok() &&
         r.status.code() != StatusCode::kBudgetExhausted) {
