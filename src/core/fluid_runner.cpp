@@ -165,6 +165,17 @@ JournalRecord to_journal_record(const std::string& key_prefix,
 FluidPointRecord from_journal_record(const JournalRecord& rec) {
   FluidPointRecord r;
   r.point.fraction = rec.value("fraction");
+  const bool has_upper =
+      std::any_of(rec.values.begin(), rec.values.end(),
+                  [](const auto& v) { return v.first == "upper"; });
+  if (rec.ok() && !has_upper) {
+    // Written before the solver certified its points: its throughput is
+    // an uncertified lambda, and value() would read the missing bound as
+    // 0. Fail the point rather than mix it into a certified sweep.
+    r.status = invalid_input_error("journal record ", rec.key,
+                                   ": ok point without an 'upper' value");
+    return r;
+  }
   r.point.throughput = rec.value("throughput");
   r.point.upper = rec.value("upper");
   r.status = Status(rec.code, rec.message);

@@ -74,25 +74,45 @@ struct Event {
   Packet pkt;  // valid for kPacketArrive only
 };
 
+// The heap holds compact 56-byte entries: the full ordering key plus
+// type/a/b. Only a kPacketArrive event's Packet lives outside the heap,
+// in a per-queue slab whose slots are recycled through a LIFO free list,
+// so a sift moves 56 bytes instead of a whole Event, and the arrival a
+// handler schedules right after a pop reuses the slot just freed while it
+// is still in cache. Link dequeues, timers, flow starts, faults, repairs
+// and detections never touch the slab.
 class EventQueue {
  public:
-  // Pre-sizes the heap vector. An Event carries a ~100-byte Packet by
-  // value, so letting the vector grow geometrically mid-simulation means
-  // repeated full-heap relocations; the network reserves its expected
-  // event population up front instead.
+  // Pre-sizes the heap for n live events. The packet slab grows on
+  // demand to the peak number of in-flight arrivals.
   void reserve(std::size_t n) { heap_.reserve(n); }
-  void push(Event e);
+
+  // Builds an event in place. `pkt` is the arrival's packet: non-null
+  // exactly for kPacketArrive, and copied into a slab slot.
+  void emplace(TimeNs time, std::int32_t depth, EventKey key, EventType type,
+               std::int32_t a, std::uint64_t b, const Packet* pkt);
+  void push(const Event& e);
+
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
-  // Reference valid only until the next push/pop; popping and then reading
-  // a stale top() is the classic use-after-pop this guards against.
-  [[nodiscard]] const Event& top() const;
+  // The next event's timestamp, without materializing the event.
+  [[nodiscard]] TimeNs top_time() const;
+  // True when this queue's next event dispatches strictly before
+  // `other`'s under before() -- how the parallel engine picks among
+  // several queues' heads.
+  [[nodiscard]] bool top_before(const EventQueue& other) const;
+  // A copy of the next event.
+  [[nodiscard]] Event top() const;
+
   Event pop();
+  // Pops into `out`, reusing its storage: `out.pkt` is written only for
+  // kPacketArrive and is stale for every other type.
+  void pop_into(Event& out);
 
   // True when x dispatches strictly before y under the stable key
-  // (time, depth, owner, oseq) with the insertion seq as final fallback.
-  // Exposed so the parallel engine can merge per-LP streams in exactly
-  // the order the serial heap would have produced.
+  // (time, depth, owner, oseq) with the insertion seq as final fallback:
+  // the queue's dispatch order, stated on Events so tests can check the
+  // heap against it.
   [[nodiscard]] static bool before(const Event& x, const Event& y) {
     if (x.time != y.time) return x.time < y.time;
     if (x.depth != y.depth) return x.depth < y.depth;
@@ -102,25 +122,39 @@ class EventQueue {
   }
 
  private:
-  struct Later {
-    bool operator()(const Event& x, const Event& y) const {
-      return before(y, x);
-    }
-  };
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
-  // A plain vector managed with std::push_heap/std::pop_heap — the same
-  // binary-heap order std::priority_queue would impose, but it allows
-  // reserve() and lets pop() move (not copy) the Event out.
-  std::vector<Event> heap_;
+  struct Entry {
+    TimeNs time;
+    std::uint64_t owner;
+    std::uint64_t oseq;
+    std::uint64_t seq;
+    std::uint64_t b;
+    std::int32_t depth;
+    std::int32_t a;
+    std::uint32_t slot;  // packet slab index, kNoSlot if none
+    EventType type;
+  };
+  static_assert(sizeof(Entry) == 56, "heap entries must stay compact");
+
+  // before() on entries: the same key, the same order.
+  [[nodiscard]] static bool entry_before(const Entry& x, const Entry& y) {
+    if (x.time != y.time) return x.time < y.time;
+    if (x.depth != y.depth) return x.depth < y.depth;
+    if (x.owner != y.owner) return x.owner < y.owner;
+    if (x.oseq != y.oseq) return x.oseq < y.oseq;
+    return x.seq < y.seq;
+  }
+  [[nodiscard]] const Entry& head() const;
+  // Writes h into out; the packet only if h holds a slab slot.
+  void materialize(const Entry& h, Event& out) const;
+
+  std::vector<Entry> heap_;  // binary min-heap under entry_before
+  std::vector<Packet> slab_;
+  std::vector<std::uint32_t> free_slots_;  // LIFO
   std::uint64_t next_seq_ = 0;
   // Audit state: the full ordering key of the last popped event.
-  struct PopKey {
-    TimeNs time = 0;
-    std::int32_t depth = 0;
-    EventKey key;
-    std::uint64_t seq = 0;
-  };
-  PopKey last_pop_;
+  Entry last_pop_{};
   bool popped_any_ = false;
 };
 

@@ -62,7 +62,7 @@ void Link::start_transmission(Sched& sched, Packet pkt) {
     // The packet leaves the wire at tx_done + propagation; the transmitter
     // is free again at tx_done. Arrival is scheduled now (it cannot be
     // affected by later events); the dequeue event frees the transmitter.
-    sched.schedule_packet(tx_done + cfg_.propagation, to_, std::move(pkt),
+    sched.schedule_packet(tx_done + cfg_.propagation, to_, pkt,
                           {owner::link(id_), sched_seq_++});
   }
   sched.schedule(tx_done, EventType::kLinkDequeue, id_, 0,

@@ -89,10 +89,11 @@ PacketNetwork::PacketNetwork(const topo::Topology& topo,
     }
   }
 
-  // Steady-state event population: at most one dequeue event per link plus
-  // one propagation arrival per link, with headroom for transport timers.
-  // Reserving now keeps the heap vector (Events carry a Packet by value)
-  // from relocating mid-run.
+  // First guess at the live event population: one dequeue and one
+  // arrival per link plus one timer per host. It is not a bound:
+  // superseded retransmission timers stay queued until they fire, so on
+  // the 216-switch Xpander (10,152 reserved) the heap holds about 9,200
+  // events, 90% of them timers, and peaks at 12,163.
   sim_.reserve_events(links_.size() * 2 + static_cast<std::size_t>(num_hosts_));
 
   sim_.set_handler([this](const Event& e) { handle(sim_, e); });

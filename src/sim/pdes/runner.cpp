@@ -45,7 +45,7 @@ class LpRuntime final : public Sched {
   [[nodiscard]] TimeNs now() const override { return now_; }
   void schedule(TimeNs at, EventType type, std::int32_t a, std::uint64_t b,
                 EventKey key) override;
-  void schedule_packet(TimeNs at, std::int32_t node, Packet pkt,
+  void schedule_packet(TimeNs at, std::int32_t node, const Packet& pkt,
                        EventKey key) override;
 
   // Dispatches every queued event with time in [epoch_min, window) and
@@ -81,13 +81,17 @@ class GlobalSched final : public Sched {
   [[nodiscard]] TimeNs now() const override { return now_; }
   void schedule(TimeNs at, EventType type, std::int32_t a, std::uint64_t b,
                 EventKey key) override;
-  void schedule_packet(TimeNs at, std::int32_t node, Packet pkt,
+  void schedule_packet(TimeNs at, std::int32_t node, const Packet& pkt,
                        EventKey key) override;
 
   TimeNs now_ = 0;
   std::int32_t cur_depth_ = -1;
 
  private:
+  [[nodiscard]] std::int32_t depth_for(TimeNs at) const {
+    return at == now_ ? cur_depth_ + 1 : 0;
+  }
+
   Engine& eng_;
 };
 
@@ -120,30 +124,26 @@ class Engine {
   }
   [[nodiscard]] PacketNetwork& net() { return net_; }
 
-  // Routes an already-keyed event to the queue of the LP that will
-  // execute it (fault/repair events go to the global queue). Only called
-  // from single-threaded contexts.
-  void route_global(Event e) {
-    switch (e.type) {
+  // The queue that executes an event of this type and `a`: the global
+  // queue for fault/repair/detect events, else the owning LP's. Only
+  // called from single-threaded contexts.
+  EventQueue& queue_for(EventType type, std::int32_t a) {
+    switch (type) {
       case EventType::kFault:
       case EventType::kRepair:
       case EventType::kDetect:
-        global_q_.push(std::move(e));
-        return;
+        return global_q_;
       case EventType::kLinkDequeue:
-        lp_queue(lp_of_link_source(e.a)).push(std::move(e));
-        return;
+        return lp_queue(lp_of_link_source(a));
       case EventType::kPacketArrive:
-        lp_queue(lp_of(e.a)).push(std::move(e));
-        return;
+        return lp_queue(lp_of(a));
       case EventType::kTransportTimer:
-        lp_queue(lp_of_flow_sender(e.a)).push(std::move(e));
-        return;
+        return lp_queue(lp_of_flow_sender(a));
       case EventType::kFlowStart:
-        lp_queue(lp_of(flow_start_node(e.a))).push(std::move(e));
-        return;
+        return lp_queue(lp_of(flow_start_node(a)));
     }
     FLEXNETS_CHECK(false, "unroutable event type");
+    return global_q_;
   }
 
   [[nodiscard]] std::int32_t flow_start_node(std::int32_t spec_index) const {
@@ -221,30 +221,17 @@ void LpRuntime::schedule(TimeNs at, EventType type, std::int32_t a,
       FLEXNETS_CHECK(false, "event type ", static_cast<int>(type),
                      " cannot be scheduled from an LP");
   }
-  Event e;
-  e.time = at;
-  e.depth = depth_for(at);
-  e.key = key;
-  e.type = type;
-  e.a = a;
-  e.b = b;
-  queue_.push(std::move(e));
+  queue_.emplace(at, depth_for(at), key, type, a, b, nullptr);
 }
 
-void LpRuntime::schedule_packet(TimeNs at, std::int32_t node, Packet pkt,
-                                EventKey key) {
+void LpRuntime::schedule_packet(TimeNs at, std::int32_t node,
+                                const Packet& pkt, EventKey key) {
   FLEXNETS_DCHECK(at >= now_, "cannot schedule into the past: at=", at,
                   " now=", now_);
-  Event e;
-  e.time = at;
-  e.depth = depth_for(at);
-  e.key = key;
-  e.type = EventType::kPacketArrive;
-  e.a = node;
-  e.pkt = std::move(pkt);
   const int dst = eng_.lp_of(node);
   if (dst == id_) {
-    queue_.push(std::move(e));
+    queue_.emplace(at, depth_for(at), key, EventType::kPacketArrive, node, 0,
+                   &pkt);
     return;
   }
   // The conservative guarantee: a cross-LP arrival is at least one
@@ -254,16 +241,24 @@ void LpRuntime::schedule_packet(TimeNs at, std::int32_t node, Packet pkt,
   FLEXNETS_CHECK(at >= window_,
                  "lookahead violated: cross-LP arrival at t=", at,
                  " inside epoch window ending ", window_);
-  outbox_[static_cast<std::size_t>(dst)].push_back(std::move(e));
+  Event e;
+  e.time = at;
+  e.depth = depth_for(at);
+  e.key = key;
+  e.type = EventType::kPacketArrive;
+  e.a = node;
+  e.pkt = pkt;
+  outbox_[static_cast<std::size_t>(dst)].push_back(e);
 }
 
 void LpRuntime::run_window(TimeNs epoch_min, TimeNs window, TimeNs until,
                            bool log) {
   window_ = window;
+  Event e;  // reused: pop_into rewrites the packet only for arrivals
   while (!queue_.empty()) {
-    const Event& t = queue_.top();
-    if (t.time >= window || t.time > until) break;
-    Event e = queue_.pop();
+    const TimeNs t = queue_.top_time();
+    if (t >= window || t > until) break;
+    queue_.pop_into(e);
     // Epoch-horizon audit: an event inside this window can be neither
     // before the global minimum (some neighbor could still send into its
     // past) nor before this LP's own clock.
@@ -282,28 +277,17 @@ void GlobalSched::schedule(TimeNs at, EventType type, std::int32_t a,
                            std::uint64_t b, EventKey key) {
   FLEXNETS_DCHECK(at >= now_, "cannot schedule into the past: at=", at,
                   " now=", now_);
-  Event e;
-  e.time = at;
-  e.depth = at == now_ ? cur_depth_ + 1 : 0;
-  e.key = key;
-  e.type = type;
-  e.a = a;
-  e.b = b;
-  eng_.route_global(std::move(e));
+  eng_.queue_for(type, a).emplace(at, depth_for(at), key, type, a, b,
+                                  nullptr);
 }
 
-void GlobalSched::schedule_packet(TimeNs at, std::int32_t node, Packet pkt,
-                                  EventKey key) {
+void GlobalSched::schedule_packet(TimeNs at, std::int32_t node,
+                                  const Packet& pkt, EventKey key) {
   FLEXNETS_DCHECK(at >= now_, "cannot schedule into the past: at=", at,
                   " now=", now_);
-  Event e;
-  e.time = at;
-  e.depth = at == now_ ? cur_depth_ + 1 : 0;
-  e.key = key;
-  e.type = EventType::kPacketArrive;
-  e.a = node;
-  e.pkt = std::move(pkt);
-  eng_.route_global(std::move(e));
+  eng_.queue_for(EventType::kPacketArrive, node)
+      .emplace(at, depth_for(at), key, EventType::kPacketArrive, node, 0,
+               &pkt);
 }
 
 void Engine::fold_digest(const LogRec& r) {
@@ -346,23 +330,18 @@ void Engine::merge_epoch_logs() {
 
 void Engine::seed(const std::vector<workload::FlowSpec>& flows) {
   for (std::size_t i = 0; i < flows.size(); ++i) {
-    Event e;
-    e.time = flows[i].start;
-    e.key = {owner::kFlowStartRoot, i};
-    e.type = EventType::kFlowStart;
-    e.a = static_cast<std::int32_t>(i);
-    route_global(std::move(e));
+    const auto spec = static_cast<std::int32_t>(i);
+    queue_for(EventType::kFlowStart, spec)
+        .emplace(flows[i].start, 0, {owner::kFlowStartRoot, i},
+                 EventType::kFlowStart, spec, 0, nullptr);
   }
   const auto* faults = net_.config().faults;
   if (faults != nullptr) {
     const auto& ev = faults->events();
     for (std::size_t i = 0; i < ev.size(); ++i) {
-      Event e;
-      e.time = ev[i].time;
-      e.key = {owner::kFaultRoot, i};
-      e.type = EventType::kFault;
-      e.a = static_cast<std::int32_t>(i);
-      global_q_.push(std::move(e));
+      global_q_.emplace(ev[i].time, 0, {owner::kFaultRoot, i},
+                        EventType::kFault, static_cast<std::int32_t>(i), 0,
+                        nullptr);
     }
   }
 }
@@ -373,18 +352,17 @@ void Engine::run_serial_timestamp(TimeNs at, bool audit) {
   // mutate state every LP reads (link liveness, routing tables,
   // connectivity). Cascades scheduled at the same timestamp are included.
   global_sched_.now_ = at;
+  Event e;
   for (;;) {
     // Pick the smallest-key event at `at`: the global queue or any LP.
     EventQueue* src = nullptr;
-    if (!global_q_.empty() && global_q_.top().time == at) src = &global_q_;
+    if (!global_q_.empty() && global_q_.top_time() == at) src = &global_q_;
     for (auto& lp : lps_) {
-      if (lp->queue_.empty() || lp->queue_.top().time != at) continue;
-      if (src == nullptr || EventQueue::before(lp->queue_.top(), src->top())) {
-        src = &lp->queue_;
-      }
+      if (lp->queue_.empty() || lp->queue_.top_time() != at) continue;
+      if (src == nullptr || lp->queue_.top_before(*src)) src = &lp->queue_;
     }
     if (src == nullptr) break;
-    Event e = src->pop();
+    src->pop_into(e);
     global_sched_.cur_depth_ = e.depth;
     if (audit) fold_digest(rec_of(e));
     net_.pdes_dispatch(global_sched_, e);
@@ -405,19 +383,19 @@ RunStats Engine::run(const std::vector<workload::FlowSpec>& flows,
     TimeNs m = Simulator::kMaxTime;
     bool any = false;
     if (!global_q_.empty()) {
-      m = global_q_.top().time;
+      m = global_q_.top_time();
       any = true;
     }
     for (const auto& lp : lps_) {
       if (!lp->queue_.empty()) {
-        m = std::min(m, lp->queue_.top().time);
+        m = std::min(m, lp->queue_.top_time());
         any = true;
       }
     }
     if (!any || m > until) break;
 
     const TimeNs next_global =
-        global_q_.empty() ? Simulator::kMaxTime : global_q_.top().time;
+        global_q_.empty() ? Simulator::kMaxTime : global_q_.top_time();
     if (next_global == m) {
       // A fault/repair is due now: its whole timestamp runs serially.
       run_serial_timestamp(m, audit);
@@ -448,12 +426,10 @@ RunStats Engine::run(const std::vector<workload::FlowSpec>& flows,
     // irrelevant -- the queue orders by stable key).
     for (auto& src : lps_) {
       for (std::size_t dst = 0; dst < num_lps; ++dst) {
-        for (auto& e : src->outbox_[dst]) {
-          lps_[dst]->queue_.push(std::move(e));
-        }
+        for (const auto& e : src->outbox_[dst]) lps_[dst]->queue_.push(e);
         src->outbox_[dst].clear();
       }
-      for (auto& e : src->global_outbox_) global_q_.push(std::move(e));
+      for (const auto& e : src->global_outbox_) global_q_.push(e);
       src->global_outbox_.clear();
     }
     if (audit) merge_epoch_logs();

@@ -8,28 +8,15 @@ void Simulator::schedule(TimeNs at, EventType type, std::int32_t a,
                          std::uint64_t b, EventKey key) {
   FLEXNETS_DCHECK(at >= now_, "cannot schedule into the past: at=", at,
                   " now=", now_);
-  Event e;
-  e.time = at;
-  e.depth = at == now_ ? cur_depth_ + 1 : 0;
-  e.key = key;
-  e.type = type;
-  e.a = a;
-  e.b = b;
-  queue_.push(std::move(e));
+  queue_.emplace(at, depth_for(at), key, type, a, b, nullptr);
 }
 
-void Simulator::schedule_packet(TimeNs at, std::int32_t node, Packet pkt,
-                                EventKey key) {
+void Simulator::schedule_packet(TimeNs at, std::int32_t node,
+                                const Packet& pkt, EventKey key) {
   FLEXNETS_DCHECK(at >= now_, "cannot schedule into the past: at=", at,
                   " now=", now_);
-  Event e;
-  e.time = at;
-  e.depth = at == now_ ? cur_depth_ + 1 : 0;
-  e.key = key;
-  e.type = EventType::kPacketArrive;
-  e.a = node;
-  e.pkt = pkt;
-  queue_.push(std::move(e));
+  queue_.emplace(at, depth_for(at), key, EventType::kPacketArrive, node, 0,
+                 &pkt);
 }
 
 std::uint64_t Simulator::run(TimeNs until) {
@@ -37,12 +24,13 @@ std::uint64_t Simulator::run(TimeNs until) {
   const bool audit = audit_enabled();
   budget_exhausted_ = false;
   std::uint64_t n = 0;
-  while (!queue_.empty() && queue_.top().time <= until) {
+  Event e;  // reused: pop_into rewrites the packet only for arrivals
+  while (!queue_.empty() && queue_.top_time() <= until) {
     if (max_events_ != 0 && processed_ + n >= max_events_) {
       budget_exhausted_ = true;
       break;
     }
-    Event e = queue_.pop();
+    queue_.pop_into(e);
     // Clock monotonicity: time never goes backward. Always-on -- a
     // violation poisons every downstream FCT measurement.
     FLEXNETS_CHECK(e.time >= now_, "clock went backward: event time=",

@@ -26,8 +26,8 @@ class Sched {
   // at > now(), dispatching-event depth + 1 for at == now().
   virtual void schedule(TimeNs at, EventType type, std::int32_t a,
                         std::uint64_t b, EventKey key) = 0;
-  virtual void schedule_packet(TimeNs at, std::int32_t node, Packet pkt,
-                               EventKey key) = 0;
+  virtual void schedule_packet(TimeNs at, std::int32_t node,
+                               const Packet& pkt, EventKey key) = 0;
 };
 
 class Simulator final : public Sched {
@@ -38,7 +38,7 @@ class Simulator final : public Sched {
 
   void schedule(TimeNs at, EventType type, std::int32_t a, std::uint64_t b,
                 EventKey key) override;
-  void schedule_packet(TimeNs at, std::int32_t node, Packet pkt,
+  void schedule_packet(TimeNs at, std::int32_t node, const Packet& pkt,
                        EventKey key) override;
 
   // Keyless convenience overloads (tests, benchmarks): all events carry
@@ -47,8 +47,8 @@ class Simulator final : public Sched {
                 std::uint64_t b = 0) {
     schedule(at, type, a, b, EventKey{});
   }
-  void schedule_packet(TimeNs at, std::int32_t node, Packet pkt) {
-    schedule_packet(at, node, std::move(pkt), EventKey{});
+  void schedule_packet(TimeNs at, std::int32_t node, const Packet& pkt) {
+    schedule_packet(at, node, pkt, EventKey{});
   }
 
   // Pre-sizes the event heap (see EventQueue::reserve). Additive: callers
@@ -81,6 +81,10 @@ class Simulator final : public Sched {
   static constexpr TimeNs kMaxTime = INT64_MAX;
 
  private:
+  [[nodiscard]] std::int32_t depth_for(TimeNs at) const {
+    return at == now_ ? cur_depth_ + 1 : 0;
+  }
+
   EventQueue queue_;
   TimeNs now_ = 0;
   // Depth of the event currently being dispatched; -1 before the first

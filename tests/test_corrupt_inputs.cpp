@@ -26,6 +26,11 @@ struct CorpusCase {
   const char* expect_fragment;  // what the diagnostic must mention
 };
 
+// Without a PrintTo, gtest prints a case as its raw bytes: string pointers
+// that move from run to run. CTest's test discovery appends that printout
+// to each test's name, so print the corpus file instead. Same below.
+void PrintTo(const CorpusCase& c, std::ostream* os) { *os << c.file; }
+
 class CorruptInputs : public ::testing::TestWithParam<CorpusCase> {};
 
 TEST_P(CorruptInputs, YieldsInvalidInputNamingTheLine) {
@@ -69,6 +74,8 @@ struct GrayPlanCase {
   const char* expect_where;     // "line N" or "event N"
   const char* expect_fragment;  // what the diagnostic must mention
 };
+
+void PrintTo(const GrayPlanCase& c, std::ostream* os) { *os << c.file; }
 
 class CorruptInputsGrayPlan : public ::testing::TestWithParam<GrayPlanCase> {};
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -23,6 +25,11 @@ namespace {
 struct PropertyCase {
   std::uint64_t seed;
   routing::RoutingMode mode;
+  // Explicit, zeroed padding: gtest prints a case as its raw bytes and
+  // CTest's test discovery appends that printout to each test's name, so
+  // uninitialized padding made a name change from build to build. (A
+  // PrintTo would also fix that, but rename all twelve cases.)
+  std::int32_t padding = 0;
 };
 
 class PacketStackProperties : public ::testing::TestWithParam<PropertyCase> {};
@@ -158,6 +165,151 @@ TEST(EventKeyTieBreak, OrderIsTotalAndInsertionIndependent) {
         EXPECT_FALSE(sim::EventQueue::before(s1[i], s1[i - 1]));
       }
     }
+  }
+}
+
+// Interleaved differential check of the queue itself: seeded streams mix
+// push, pop, pop_into and top() against a reference vector whose minimum
+// under EventQueue::before is removed on each pop. Streams carry dense
+// time and depth ties, keyed and keyless events, every EventType, and a
+// distinct payload on each arrival; drain-and-refill cycles make later
+// arrivals reuse freed packet-slab slots. Pushes never precede the last
+// pop (as in a simulation), so the audited pop-order check stays armed.
+
+void expect_same_packet(const sim::Packet& got, const sim::Packet& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.flow_id, want.flow_id) << where;
+  EXPECT_EQ(got.dst_tor, want.dst_tor) << where;
+  EXPECT_EQ(got.via_tor, want.via_tor) << where;
+  EXPECT_EQ(got.dst_host, want.dst_host) << where;
+  EXPECT_EQ(got.flowlet, want.flowlet) << where;
+  EXPECT_EQ(got.wire_size, want.wire_size) << where;
+  EXPECT_EQ(got.seq, want.seq) << where;
+  EXPECT_EQ(got.payload, want.payload) << where;
+  EXPECT_EQ(got.ack_no, want.ack_no) << where;
+  EXPECT_EQ(got.is_ack, want.is_ack) << where;
+  EXPECT_EQ(got.ecn_ce, want.ecn_ce) << where;
+  EXPECT_EQ(got.ecn_echo, want.ecn_echo) << where;
+  EXPECT_EQ(got.sent_at, want.sent_at) << where;
+  EXPECT_EQ(got.src_route, want.src_route) << where;
+  EXPECT_EQ(got.src_route_len, want.src_route_len) << where;
+  EXPECT_EQ(got.src_route_pos, want.src_route_pos) << where;
+}
+
+void expect_same_event(const sim::Event& got, const sim::Event& want,
+                       bool check_packet, const std::string& where) {
+  EXPECT_EQ(got.time, want.time) << where;
+  EXPECT_EQ(got.depth, want.depth) << where;
+  EXPECT_EQ(got.key.owner, want.key.owner) << where;
+  EXPECT_EQ(got.key.oseq, want.key.oseq) << where;
+  EXPECT_EQ(got.seq, want.seq) << where;
+  EXPECT_EQ(got.type, want.type) << where;
+  EXPECT_EQ(got.a, want.a) << where;
+  EXPECT_EQ(got.b, want.b) << where;
+  if (check_packet) expect_same_packet(got.pkt, want.pkt, where);
+}
+
+TEST(EventQueueDifferential, InterleavedOpsMatchReference) {
+  const CheckPolicyScope policy(CheckPolicy::kThrow);
+  const AuditScope audit(true);
+  const std::uint64_t owners[] = {
+      sim::owner::kFlowStartRoot, sim::owner::kFaultRoot,
+      sim::owner::link(0),        sim::owner::link(3),
+      sim::owner::flow_timer(1),  sim::owner::detect(2)};
+  for (const std::uint64_t seed : {71u, 72u, 73u, 74u}) {
+    Rng rng(seed);
+    sim::EventQueue q;
+    std::vector<sim::Event> ref;
+    std::uint64_t pushes = 0;  // mirrors the queue's insertion sequence
+    TimeNs now = 0;            // time and depth of the last pop
+    std::int32_t now_depth = 0;
+    sim::Event reused;  // pop_into target; its packet goes stale
+    std::size_t arrivals = 0;
+
+    auto push = [&] {
+      sim::Event e;
+      e.time = now + static_cast<TimeNs>(rng.next_u64(4));  // dense ties
+      e.depth = e.time == now ? now_depth + 1
+                              : static_cast<std::int32_t>(rng.next_u64(3));
+      if (rng.next_u64(4) != 0) {  // keyed; keyless events tie-break FIFO
+        e.key = {owners[rng.next_u64(std::size(owners))], pushes};
+      }
+      e.type = static_cast<sim::EventType>(rng.next_u64(7));
+      e.a = static_cast<std::int32_t>(rng.next_u64(50));
+      e.b = rng.next_u64(1000);
+      if (e.type == sim::EventType::kPacketArrive) {
+        const auto n = static_cast<std::int32_t>(++arrivals);
+        e.pkt.flow_id = n;
+        e.pkt.dst_tor = n + 1;
+        e.pkt.via_tor = n + 2;
+        e.pkt.dst_host = n + 3;
+        e.pkt.flowlet = static_cast<std::uint32_t>(n) * 7;
+        e.pkt.wire_size = 64 + n;
+        e.pkt.seq = Bytes{1000} * n;
+        e.pkt.payload = n % 1460;
+        e.pkt.ack_no = Bytes{3} * n;
+        e.pkt.is_ack = n % 2 == 0;
+        e.pkt.ecn_ce = n % 3 == 0;
+        e.pkt.ecn_echo = n % 5 == 0;
+        e.pkt.sent_at = TimeNs{11} * n;
+        for (int h = 0; h < sim::kMaxSourceRouteHops; ++h) {
+          e.pkt.src_route[static_cast<std::size_t>(h)] = n * 10 + h;
+        }
+        e.pkt.src_route_len = static_cast<std::int8_t>(n % 9);
+        e.pkt.src_route_pos = static_cast<std::int8_t>(n % 4);
+      }
+      q.push(e);
+      e.seq = pushes++;
+      ref.push_back(e);
+    };
+    auto ref_min = [&] {
+      return std::min_element(ref.begin(), ref.end(),
+                              [](const sim::Event& x, const sim::Event& y) {
+                                return sim::EventQueue::before(x, y);
+                              });
+    };
+
+    int op_index = 0;
+    for (int cycle = 0; cycle < 4; ++cycle) {
+      const int ops = 300 + static_cast<int>(rng.next_u64(300));
+      for (int op = 0; op < ops; ++op, ++op_index) {
+        const std::string where = "seed " + std::to_string(seed) + " op " +
+                                  std::to_string(op_index);
+        const auto r = rng.next_u64(10);
+        if (r < 5 || ref.empty()) {
+          push();
+          continue;
+        }
+        ASSERT_EQ(q.size(), ref.size()) << where;
+        const auto want = ref_min();
+        if (r == 9) {
+          expect_same_event(q.top(), *want, true, where + " top");
+          continue;
+        }
+        if (r < 8) {
+          expect_same_event(q.pop(), *want, true, where + " pop");
+        } else {
+          q.pop_into(reused);
+          expect_same_event(reused, *want,
+                            want->type == sim::EventType::kPacketArrive,
+                            where + " pop_into");
+        }
+        now = want->time;
+        now_depth = want->depth;
+        ref.erase(want);
+      }
+      // Drain, so the next cycle's arrivals refill recycled slots.
+      while (!ref.empty()) {
+        const auto want = ref_min();
+        expect_same_event(q.pop(), *want, true,
+                          "seed " + std::to_string(seed) + " drain");
+        now = want->time;
+        now_depth = want->depth;
+        ref.erase(want);
+      }
+      EXPECT_TRUE(q.empty());
+    }
+    EXPECT_GT(arrivals, 50u) << "seed " << seed;
   }
 }
 

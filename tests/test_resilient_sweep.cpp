@@ -205,6 +205,69 @@ TEST(ResilientSweep, ResumeReusesJournaledBitsInsteadOfRecomputing) {
   EXPECT_NE(records[0].point.throughput, 0.0);
 }
 
+// A journal written before points were certified has ok lines without
+// "upper". Resuming one must fail that point, not read its upper bound
+// as 0 and pass its uncertified lambda off as part of a certified sweep.
+TEST(ResilientSweep, ResumedOkLineWithoutUpperIsInvalidInput) {
+  const auto ft = topo::fat_tree(4);
+  const auto opts = small_sweep();
+
+  const std::string path = temp_path("pre_certificate.jsonl");
+  std::remove(path.c_str());
+  {
+    Journal journal;
+    ASSERT_TRUE(journal.open(path).ok());
+    ResilientSweepOptions ropts;
+    ropts.sweep = opts;
+    ropts.journal = &journal;
+    (void)fluid_sweep_resilient(ft.topo, ropts);
+  }
+  // Rewrite point 1's line without its "upper" value.
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), opts.fractions.size());
+  for (auto& line : lines) {
+    auto rec = parse_json_line(line);
+    ASSERT_TRUE(rec.ok()) << rec.status().to_string();
+    if (rec->key != "sweep/1") continue;
+    ASSERT_TRUE(rec->ok());
+    std::erase_if(rec->values,
+                  [](const auto& v) { return v.first == "upper"; });
+    line = to_json_line(*rec);
+  }
+  {
+    std::ofstream out(path, std::ios::trunc);
+    for (const auto& line : lines) out << line << "\n";
+  }
+
+  const auto loaded = load_journal(path);
+  ASSERT_TRUE(loaded.ok());
+  const auto completed = index_by_key(*loaded);
+  ResilientSweepOptions ropts;
+  ropts.sweep = opts;
+  ropts.completed = &completed;
+  const auto records = fluid_sweep_resilient(ft.topo, ropts);
+  std::remove(path.c_str());
+
+  ASSERT_EQ(records.size(), opts.fractions.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (i == 1) continue;
+    EXPECT_TRUE(records[i].status.ok()) << i << ": "
+                                        << records[i].status.to_string();
+    EXPECT_GE(records[i].point.upper, records[i].point.throughput) << i;
+  }
+  const auto& bad = records[1];
+  EXPECT_EQ(bad.status.code(), StatusCode::kInvalidInput);
+  EXPECT_NE(bad.status.message().find("sweep/1"), std::string::npos)
+      << bad.status.message();
+  EXPECT_NE(bad.status.message().find("upper"), std::string::npos)
+      << bad.status.message();
+  EXPECT_EQ(bad.point.fraction, opts.fractions[1]);
+  EXPECT_EQ(bad.point.throughput, 0.0);
+  EXPECT_EQ(bad.point.upper, 0.0);
+}
+
 // The acceptance scenario: a sweep over topology files where one file is
 // corrupt completes every healthy point and journals exactly one
 // structured kInvalidInput record for the poisoned one.

@@ -291,6 +291,13 @@ struct ExpanderCase {
   std::uint64_t seed;
 };
 
+// Without this, gtest prints a case as its raw bytes, `label` as a pointer
+// that moves from run to run, and CTest's test discovery appends that
+// printout to each test's name.
+void PrintTo(const ExpanderCase& c, std::ostream* os) {
+  *os << c.label << " n=" << c.n << " d=" << c.degree << " seed=" << c.seed;
+}
+
 class ExpanderProperties : public ::testing::TestWithParam<ExpanderCase> {};
 
 TEST_P(ExpanderProperties, ConnectedRegularAndGoodExpansion) {

@@ -1,4 +1,4 @@
-// Ports of the seven lint_flexnets.py rules onto the token stream.
+// Ports of the seven rules of the retired regex lint onto the token stream.
 //
 // Matching on tokens (not text lines) removes the regex lint's structural
 // blind spots: comments, string/char literals, and raw strings can no

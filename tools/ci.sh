@@ -9,8 +9,7 @@
 #      bit-equality between the serial engine and PDES at --threads 2
 #      and 4 on a jellyfish pure-gray plan and a fat-tree
 #      binary+gray cocktail
-#   3. lint:   flexnets_analyze (via the lint_flexnets.py wrapper)
-#      fixture self-test + src/ scan — the cross-TU static analyzer
+#   3. lint:   flexnets_analyze fixture self-test + src/ scan — the cross-TU static analyzer
 #      enforcing the ported determinism rules, include-graph layering
 #      (tools/layering.json), Status discipline, and lock annotations.
 #      A violation is proven fatal by seeding a transient layering
@@ -95,8 +94,8 @@ step "gray-determinism gate: bench_gray --digest-check"
 
 step "lint: rule self-test + src/ scan"
 ANALYZE_BIN="build/tools/analyze/flexnets_analyze"
-python3 tools/lint_flexnets.py --bin "$ANALYZE_BIN" --self-test
-python3 tools/lint_flexnets.py --bin "$ANALYZE_BIN"
+"$ANALYZE_BIN" --repo-root "$REPO_ROOT" --self-test
+"$ANALYZE_BIN" --repo-root "$REPO_ROOT" src/
 
 # The layering contract must have teeth: seed a transient upward include
 # (graph/ reaching into core/) and require the analyzer to reject it.
