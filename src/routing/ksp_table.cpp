@@ -1,7 +1,5 @@
 #include "routing/ksp_table.hpp"
 
-#include "graph/ksp.hpp"
-
 namespace flexnets::routing {
 
 const std::vector<std::vector<graph::NodeId>>& KspTable::paths(
@@ -9,7 +7,7 @@ const std::vector<std::vector<graph::NodeId>>& KspTable::paths(
   const auto key = std::make_pair(src, dst);
   auto it = cache_.find(key);
   if (it == cache_.end()) {
-    it = cache_.emplace(key, graph::k_shortest_paths(g_, src, dst, k_)).first;
+    it = cache_.emplace(key, search_.paths(src, dst, k_)).first;
   }
   return it->second;
 }

@@ -8,12 +8,15 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/ksp.hpp"
 
 namespace flexnets::routing {
 
 class KspTable {
  public:
-  KspTable(const graph::Graph& g, int k) : g_(g), k_(k) {}
+  // Reads the graph once, here: the table answers for the graph as it is
+  // now (the network builds a new table at each repair).
+  KspTable(const graph::Graph& g, int k) : search_(g), k_(k) {}
 
   // Up to k loopless shortest paths src -> dst (node sequences including
   // both endpoints). Computed on first request, cached thereafter.
@@ -23,7 +26,7 @@ class KspTable {
   [[nodiscard]] int k() const { return k_; }
 
  private:
-  const graph::Graph& g_;
+  graph::KShortestPaths search_;
   int k_;
   std::map<std::pair<graph::NodeId, graph::NodeId>,
            std::vector<std::vector<graph::NodeId>>>

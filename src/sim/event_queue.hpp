@@ -1,4 +1,4 @@
-// Discrete-event queue: a binary heap of events ordered by a *stable key*
+// Discrete-event queue: events ordered by a *stable key*
 // (time, depth, owner, oseq) with the insertion sequence as a final
 // fallback. The stable key — unlike a bare insertion counter — is a
 // property of the event itself, independent of the order schedule() calls
@@ -18,6 +18,7 @@
 // (time, FIFO) order.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -74,35 +75,61 @@ struct Event {
   Packet pkt;  // valid for kPacketArrive only
 };
 
-// The heap holds compact 56-byte entries: the full ordering key plus
-// type/a/b. Only a kPacketArrive event's Packet lives outside the heap,
-// in a per-queue slab whose slots are recycled through a LIFO free list,
-// so a sift moves 56 bytes instead of a whole Event, and the arrival a
-// handler schedules right after a pop reuses the slot just freed while it
-// is still in cache. Link dequeues, timers, flow starts, faults, repairs
-// and detections never touch the slab.
+// A radix heap on the integer event time (Ahuja, Mehlhorn, Orlin and
+// Tarjan, JACM 1990) over compact 56-byte entries. `last_` is the time of
+// the last settle, and every entry sits in one of three places:
+//
+//  - bucket 0: every entry with time <= last_, as a binary heap under the
+//    full key (time, depth, owner, oseq, seq). Ties are resolved only
+//    here; on packet runs it holds under two entries on average.
+//  - near bucket i (i < kNearBits): entries with time > last_ whose time
+//    first differs from last_ at bit i, as unordered vectors with a bitmask
+//    of which are non-empty.
+//  - the far heap: entries that differ from last_ at bit kNearBits or
+//    above -- a later 2^16 ns block -- in one binary heap under the same
+//    key: pending retransmission timers, pre-scheduled flow starts and
+//    faults.
+//
+// When bucket 0 is empty, settle() takes the lowest non-empty near bucket,
+// moves last_ to its minimum time and redistributes it: each entry lands in
+// bucket 0 (time == last_) or a strictly lower near bucket. When the near
+// buckets are empty too, it pulls the far heap's next 2^kNearBits ns block
+// the same way. The peeks (top_time, top_before, top) settle too, which is
+// why they are not const. Any push is valid at any time -- a time <= last_
+// just joins bucket 0 -- so a push below a peeked head (the parallel
+// engine's barrier exchange) needs no precondition.
+//
+// Only a kPacketArrive event's Packet lives outside the entries, in a
+// per-queue slab whose slots are recycled through a LIFO free list, so a
+// move copies 56 bytes instead of a whole Event, and the arrival a handler
+// schedules right after a pop reuses the slot just freed while it is still
+// in cache. Link dequeues, timers, flow starts, faults, repairs and
+// detections never touch the slab.
 class EventQueue {
  public:
-  // Pre-sizes the heap for n live events. The packet slab grows on
-  // demand to the peak number of in-flight arrivals.
-  void reserve(std::size_t n) { heap_.reserve(n); }
+  // Pre-sizes the far heap for n live events: on packet runs it holds
+  // most of the live population (pending timers, pre-scheduled flow
+  // starts and faults). Bucket 0, the near buckets and the packet slab
+  // grow on demand to their peaks.
+  void reserve(std::size_t n) { far_.reserve(n); }
 
   // Builds an event in place. `pkt` is the arrival's packet: non-null
-  // exactly for kPacketArrive, and copied into a slab slot.
+  // exactly for kPacketArrive, and copied into a slab slot. `time` must
+  // be non-negative.
   void emplace(TimeNs time, std::int32_t depth, EventKey key, EventType type,
                std::int32_t a, std::uint64_t b, const Packet* pkt);
   void push(const Event& e);
 
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
   // The next event's timestamp, without materializing the event.
-  [[nodiscard]] TimeNs top_time() const;
+  [[nodiscard]] TimeNs top_time();
   // True when this queue's next event dispatches strictly before
   // `other`'s under before() -- how the parallel engine picks among
   // several queues' heads.
-  [[nodiscard]] bool top_before(const EventQueue& other) const;
+  [[nodiscard]] bool top_before(EventQueue& other);
   // A copy of the next event.
-  [[nodiscard]] Event top() const;
+  [[nodiscard]] Event top();
 
   Event pop();
   // Pops into `out`, reusing its storage: `out.pkt` is written only for
@@ -112,7 +139,7 @@ class EventQueue {
   // True when x dispatches strictly before y under the stable key
   // (time, depth, owner, oseq) with the insertion seq as final fallback:
   // the queue's dispatch order, stated on Events so tests can check the
-  // heap against it.
+  // queue against it.
   [[nodiscard]] static bool before(const Event& x, const Event& y) {
     if (x.time != y.time) return x.time < y.time;
     if (x.depth != y.depth) return x.depth < y.depth;
@@ -123,6 +150,16 @@ class EventQueue {
 
  private:
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  // Near buckets hold last_'s 2^16 ns (65.5 us) block. That is well above
+  // a link's serialization plus propagation (1.3 us for a full-sized
+  // packet at 10 Gbps), so dequeues and arrivals stay near, and below the
+  // minimum RTO (200 us), so pending timers wait in the far heap instead
+  // of being moved bucket to bucket.
+  static constexpr int kNearBits = 16;
+  // While the near buckets and the far heap are empty and bucket 0 holds
+  // fewer than this many entries, every push joins bucket 0 (see place()),
+  // so the few events of a single link or a fault queue skip the settles.
+  static constexpr std::size_t kSmallQueue = 8;
 
   struct Entry {
     TimeNs time;
@@ -135,7 +172,7 @@ class EventQueue {
     std::uint32_t slot;  // packet slab index, kNoSlot if none
     EventType type;
   };
-  static_assert(sizeof(Entry) == 56, "heap entries must stay compact");
+  static_assert(sizeof(Entry) == 56, "queue entries must stay compact");
 
   // before() on entries: the same key, the same order.
   [[nodiscard]] static bool entry_before(const Entry& x, const Entry& y) {
@@ -145,11 +182,27 @@ class EventQueue {
     if (x.oseq != y.oseq) return x.oseq < y.oseq;
     return x.seq < y.seq;
   }
-  [[nodiscard]] const Entry& head() const;
+  // Binary min-heap operations under entry_before.
+  static void heap_push(std::vector<Entry>& heap, const Entry& e);
+  static Entry heap_pop(std::vector<Entry>& heap);
+
+  // Files e into bucket 0, a near bucket or the far heap, relative to
+  // last_.
+  void place(const Entry& e);
+  // Refills an empty bucket 0 from the lowest non-empty near bucket, or
+  // from the far heap's next block. Requires a non-empty queue.
+  void settle();
+  // The next entry (bucket 0's root), settling first if needed.
+  [[nodiscard]] const Entry& head();
   // Writes h into out; the packet only if h holds a slab slot.
   void materialize(const Entry& h, Event& out) const;
 
-  std::vector<Entry> heap_;  // binary min-heap under entry_before
+  std::vector<Entry> bucket0_;  // binary min-heap: time <= last_
+  std::array<std::vector<Entry>, kNearBits> near_;
+  std::uint32_t near_mask_ = 0;  // bit i set: near_[i] is non-empty
+  std::vector<Entry> far_;       // binary min-heap: beyond the near block
+  TimeNs last_ = 0;
+  std::size_t size_ = 0;
   std::vector<Packet> slab_;
   std::vector<std::uint32_t> free_slots_;  // LIFO
   std::uint64_t next_seq_ = 0;

@@ -25,7 +25,7 @@ void Link::enqueue(Sched& sched, Packet pkt) {
     return;
   }
   if (!busy_) {
-    start_transmission(sched, std::move(pkt));
+    start_transmission(sched, pkt);
     return;
   }
   if (queued_bytes_ + pkt.wire_size > cfg_.queue_capacity) {
@@ -37,10 +37,21 @@ void Link::enqueue(Sched& sched, Packet pkt) {
     ++ecn_marks_;
   }
   queued_bytes_ += pkt.wire_size;
-  queue_.push_back(std::move(pkt));
+  if (count_ == ring_.size()) grow_ring();
+  ring_[(head_ + count_) & (ring_.size() - 1)] = pkt;
+  ++count_;
 }
 
-void Link::start_transmission(Sched& sched, Packet pkt) {
+void Link::grow_ring() {
+  std::vector<Packet> bigger(ring_.empty() ? kInitialRing : 2 * ring_.size());
+  for (std::size_t i = 0; i < count_; ++i) {
+    bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+  }
+  ring_ = std::move(bigger);
+  head_ = 0;
+}
+
+void Link::start_transmission(Sched& sched, const Packet& pkt) {
   busy_ = true;
   ++packets_sent_;
   bytes_sent_ += pkt.wire_size;
@@ -72,8 +83,9 @@ void Link::start_transmission(Sched& sched, Packet pkt) {
 
 void Link::take_down() {
   up_ = false;
-  expelled_ += queue_.size();
-  queue_.clear();
+  expelled_ += count_;
+  head_ = 0;
+  count_ = 0;
   queued_bytes_ = 0;
 }
 
@@ -127,12 +139,14 @@ void Link::count_gray_drop(Sched& sched) {
 void Link::on_dequeue(Sched& sched) {
   assert(busy_);
   busy_ = false;
-  if (!queue_.empty()) {
-    Packet next = std::move(queue_.front());
-    queue_.pop_front();
-    queued_bytes_ -= next.wire_size;
-    start_transmission(sched, std::move(next));
-  }
+  if (count_ == 0) return;
+  // Transmitting only schedules events, so nothing refills the slot
+  // before start_transmission is done with it.
+  const Packet& next = ring_[head_];
+  head_ = (head_ + 1) & (ring_.size() - 1);
+  --count_;
+  queued_bytes_ -= next.wire_size;
+  start_transmission(sched, next);
 }
 
 }  // namespace flexnets::sim

@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "common/units.hpp"
 #include "sim/packet.hpp"
@@ -82,7 +82,10 @@ class Link {
   [[nodiscard]] const LinkConfig& config() const { return cfg_; }
 
  private:
-  void start_transmission(Sched& sched, Packet pkt);
+  void start_transmission(Sched& sched, const Packet& pkt);
+  // Doubles the ring (first allocation: kInitialRing slots), keeping the
+  // waiting packets in FIFO order from slot 0.
+  void grow_ring();
   void count_gray_drop(Sched& sched);
   [[nodiscard]] bool flap_down_at(TimeNs now) const;
 
@@ -91,7 +94,13 @@ class Link {
   std::int32_t to_;
   LinkConfig cfg_;
 
-  std::deque<Packet> queue_;
+  // Waiting packets as a FIFO ring: ring_[head_] is the oldest of count_.
+  // Allocated when the first packet has to wait, so an idle link costs
+  // no heap; the capacity stays a power of two.
+  static constexpr std::size_t kInitialRing = 4;
+  std::vector<Packet> ring_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
   Bytes queued_bytes_ = 0;
   bool busy_ = false;
   bool up_ = true;

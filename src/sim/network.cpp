@@ -89,11 +89,12 @@ PacketNetwork::PacketNetwork(const topo::Topology& topo,
     }
   }
 
-  // First guess at the live event population: one dequeue and one
-  // arrival per link plus one timer per host. It is not a bound:
-  // superseded retransmission timers stay queued until they fire, so on
-  // the 216-switch Xpander (10,152 reserved) the heap holds about 9,200
-  // events, 90% of them timers, and peaks at 12,163.
+  // Sizes the event queue's far heap (sim/event_queue.hpp) from a first
+  // guess at the live event population: one dequeue and one arrival per
+  // link plus one timer per host. It is not a bound: superseded
+  // retransmission timers stay queued until they fire, so on the
+  // 216-switch Xpander (10,152 reserved) the queue holds about 9,200
+  // events, 7,200 of them in the far heap, and peaks at 12,163.
   sim_.reserve_events(links_.size() * 2 + static_cast<std::size_t>(num_hosts_));
 
   sim_.set_handler([this](const Event& e) { handle(sim_, e); });

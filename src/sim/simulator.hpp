@@ -51,7 +51,8 @@ class Simulator final : public Sched {
     schedule_packet(at, node, pkt, EventKey{});
   }
 
-  // Pre-sizes the event heap (see EventQueue::reserve). Additive: callers
+  // Pre-sizes the event queue's far heap, where events beyond the current
+  // 65.5 us block wait (see EventQueue::reserve). Additive: callers
   // reserve for what they are about to schedule.
   void reserve_events(std::size_t n) { queue_.reserve(queue_.size() + n); }
 

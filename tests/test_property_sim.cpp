@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -168,13 +169,13 @@ TEST(EventKeyTieBreak, OrderIsTotalAndInsertionIndependent) {
   }
 }
 
-// Interleaved differential check of the queue itself: seeded streams mix
+// Interleaved differential checks of the queue itself: seeded streams mix
 // push, pop, pop_into and top() against a reference vector whose minimum
-// under EventQueue::before is removed on each pop. Streams carry dense
-// time and depth ties, keyed and keyless events, every EventType, and a
-// distinct payload on each arrival; drain-and-refill cycles make later
-// arrivals reuse freed packet-slab slots. Pushes never precede the last
-// pop (as in a simulation), so the audited pop-order check stays armed.
+// under EventQueue::before is removed on each pop. Streams carry keyed
+// and keyless events, every EventType, and a distinct payload on each
+// arrival; drain-and-refill cycles make later arrivals reuse freed
+// packet-slab slots. Pushes never precede the last pop (as in a
+// simulation), so the audited pop-order check stays armed.
 
 void expect_same_packet(const sim::Packet& got, const sim::Packet& want,
                         const std::string& where) {
@@ -209,66 +210,95 @@ void expect_same_event(const sim::Event& got, const sim::Event& want,
   if (check_packet) expect_same_packet(got.pkt, want.pkt, where);
 }
 
+// An EventQueue driven in lockstep with its reference vector.
+struct QueueMirror {
+  sim::EventQueue q;
+  std::vector<sim::Event> ref;
+  std::uint64_t pushes = 0;  // mirrors the queue's insertion sequence
+  TimeNs now = 0;            // time and depth of the last pop
+  std::int32_t now_depth = 0;
+  std::size_t arrivals = 0;
+  sim::Event reused;  // pop_into target; its packet goes stale
+
+  // Pushes a random event at `time`. An event at the last pop's time
+  // gets the next depth, as a handler's zero-delay schedule would.
+  void push(Rng& rng, TimeNs time) {
+    static constexpr std::uint64_t kOwners[] = {
+        sim::owner::kFlowStartRoot, sim::owner::kFaultRoot,
+        sim::owner::link(0),        sim::owner::link(3),
+        sim::owner::flow_timer(1),  sim::owner::detect(2)};
+    sim::Event e;
+    e.time = time;
+    e.depth = time == now ? now_depth + 1
+                          : static_cast<std::int32_t>(rng.next_u64(3));
+    if (rng.next_u64(4) != 0) {  // keyed; keyless events tie-break FIFO
+      e.key = {kOwners[rng.next_u64(std::size(kOwners))], pushes};
+    }
+    e.type = static_cast<sim::EventType>(rng.next_u64(7));
+    e.a = static_cast<std::int32_t>(rng.next_u64(50));
+    e.b = rng.next_u64(1000);
+    if (e.type == sim::EventType::kPacketArrive) {
+      const auto n = static_cast<std::int32_t>(++arrivals);
+      e.pkt.flow_id = n;
+      e.pkt.dst_tor = n + 1;
+      e.pkt.via_tor = n + 2;
+      e.pkt.dst_host = n + 3;
+      e.pkt.flowlet = static_cast<std::uint32_t>(n) * 7;
+      e.pkt.wire_size = 64 + n;
+      e.pkt.seq = Bytes{1000} * n;
+      e.pkt.payload = n % 1460;
+      e.pkt.ack_no = Bytes{3} * n;
+      e.pkt.is_ack = n % 2 == 0;
+      e.pkt.ecn_ce = n % 3 == 0;
+      e.pkt.ecn_echo = n % 5 == 0;
+      e.pkt.sent_at = TimeNs{11} * n;
+      for (int h = 0; h < sim::kMaxSourceRouteHops; ++h) {
+        e.pkt.src_route[static_cast<std::size_t>(h)] = n * 10 + h;
+      }
+      e.pkt.src_route_len = static_cast<std::int8_t>(n % 9);
+      e.pkt.src_route_pos = static_cast<std::int8_t>(n % 4);
+    }
+    q.push(e);
+    e.seq = pushes++;
+    ref.push_back(e);
+  }
+
+  [[nodiscard]] std::vector<sim::Event>::iterator want() {
+    return std::min_element(ref.begin(), ref.end(),
+                            [](const sim::Event& x, const sim::Event& y) {
+                              return sim::EventQueue::before(x, y);
+                            });
+  }
+
+  // Pops through pop(), or pop_into() when `into`, and checks the event.
+  void pop(bool into, const std::string& where) {
+    const auto w = want();
+    if (into) {
+      q.pop_into(reused);
+      expect_same_event(reused, *w, w->type == sim::EventType::kPacketArrive,
+                        where + " pop_into");
+    } else {
+      expect_same_event(q.pop(), *w, true, where + " pop");
+    }
+    now = w->time;
+    now_depth = w->depth;
+    ref.erase(w);
+  }
+
+  // Drains, so the next cycle's arrivals refill recycled slots.
+  void drain(const std::string& where) {
+    while (!ref.empty()) pop(false, where + " drain");
+    EXPECT_TRUE(q.empty()) << where;
+  }
+};
+
+// Dense time and depth ties, all within a few ns of the last pop.
 TEST(EventQueueDifferential, InterleavedOpsMatchReference) {
   const CheckPolicyScope policy(CheckPolicy::kThrow);
   const AuditScope audit(true);
-  const std::uint64_t owners[] = {
-      sim::owner::kFlowStartRoot, sim::owner::kFaultRoot,
-      sim::owner::link(0),        sim::owner::link(3),
-      sim::owner::flow_timer(1),  sim::owner::detect(2)};
   for (const std::uint64_t seed : {71u, 72u, 73u, 74u}) {
     Rng rng(seed);
-    sim::EventQueue q;
-    std::vector<sim::Event> ref;
-    std::uint64_t pushes = 0;  // mirrors the queue's insertion sequence
-    TimeNs now = 0;            // time and depth of the last pop
-    std::int32_t now_depth = 0;
-    sim::Event reused;  // pop_into target; its packet goes stale
-    std::size_t arrivals = 0;
-
-    auto push = [&] {
-      sim::Event e;
-      e.time = now + static_cast<TimeNs>(rng.next_u64(4));  // dense ties
-      e.depth = e.time == now ? now_depth + 1
-                              : static_cast<std::int32_t>(rng.next_u64(3));
-      if (rng.next_u64(4) != 0) {  // keyed; keyless events tie-break FIFO
-        e.key = {owners[rng.next_u64(std::size(owners))], pushes};
-      }
-      e.type = static_cast<sim::EventType>(rng.next_u64(7));
-      e.a = static_cast<std::int32_t>(rng.next_u64(50));
-      e.b = rng.next_u64(1000);
-      if (e.type == sim::EventType::kPacketArrive) {
-        const auto n = static_cast<std::int32_t>(++arrivals);
-        e.pkt.flow_id = n;
-        e.pkt.dst_tor = n + 1;
-        e.pkt.via_tor = n + 2;
-        e.pkt.dst_host = n + 3;
-        e.pkt.flowlet = static_cast<std::uint32_t>(n) * 7;
-        e.pkt.wire_size = 64 + n;
-        e.pkt.seq = Bytes{1000} * n;
-        e.pkt.payload = n % 1460;
-        e.pkt.ack_no = Bytes{3} * n;
-        e.pkt.is_ack = n % 2 == 0;
-        e.pkt.ecn_ce = n % 3 == 0;
-        e.pkt.ecn_echo = n % 5 == 0;
-        e.pkt.sent_at = TimeNs{11} * n;
-        for (int h = 0; h < sim::kMaxSourceRouteHops; ++h) {
-          e.pkt.src_route[static_cast<std::size_t>(h)] = n * 10 + h;
-        }
-        e.pkt.src_route_len = static_cast<std::int8_t>(n % 9);
-        e.pkt.src_route_pos = static_cast<std::int8_t>(n % 4);
-      }
-      q.push(e);
-      e.seq = pushes++;
-      ref.push_back(e);
-    };
-    auto ref_min = [&] {
-      return std::min_element(ref.begin(), ref.end(),
-                              [](const sim::Event& x, const sim::Event& y) {
-                                return sim::EventQueue::before(x, y);
-                              });
-    };
-
+    QueueMirror m;
     int op_index = 0;
     for (int cycle = 0; cycle < 4; ++cycle) {
       const int ops = 300 + static_cast<int>(rng.next_u64(300));
@@ -276,40 +306,128 @@ TEST(EventQueueDifferential, InterleavedOpsMatchReference) {
         const std::string where = "seed " + std::to_string(seed) + " op " +
                                   std::to_string(op_index);
         const auto r = rng.next_u64(10);
-        if (r < 5 || ref.empty()) {
-          push();
+        if (r < 5 || m.ref.empty()) {
+          m.push(rng, m.now + static_cast<TimeNs>(rng.next_u64(4)));
           continue;
         }
-        ASSERT_EQ(q.size(), ref.size()) << where;
-        const auto want = ref_min();
+        ASSERT_EQ(m.q.size(), m.ref.size()) << where;
         if (r == 9) {
-          expect_same_event(q.top(), *want, true, where + " top");
+          expect_same_event(m.q.top(), *m.want(), true, where + " top");
           continue;
         }
-        if (r < 8) {
-          expect_same_event(q.pop(), *want, true, where + " pop");
-        } else {
-          q.pop_into(reused);
-          expect_same_event(reused, *want,
-                            want->type == sim::EventType::kPacketArrive,
-                            where + " pop_into");
-        }
-        now = want->time;
-        now_depth = want->depth;
-        ref.erase(want);
+        m.pop(r >= 8, where);
       }
-      // Drain, so the next cycle's arrivals refill recycled slots.
-      while (!ref.empty()) {
-        const auto want = ref_min();
-        expect_same_event(q.pop(), *want, true,
-                          "seed " + std::to_string(seed) + " drain");
-        now = want->time;
-        now_depth = want->depth;
-        ref.erase(want);
-      }
-      EXPECT_TRUE(q.empty());
+      m.drain("seed " + std::to_string(seed));
     }
-    EXPECT_GT(arrivals, 50u) << "seed " << seed;
+    EXPECT_GT(m.arrivals, 50u) << "seed " << seed;
+  }
+}
+
+// Times spread over the queue's radix layout: dense ties, near offsets
+// (below 2^16 ns), far ones (up to 2^40 ns), and clusters inside one far
+// 2^16 ns block. Entries cross block boundaries, wait in the far heap and
+// come back out of it while later pushes land in the block just pulled.
+TEST(EventQueueDifferential, NearAndFarTimesMatchReference) {
+  const CheckPolicyScope policy(CheckPolicy::kThrow);
+  const AuditScope audit(true);
+  for (const std::uint64_t seed : {81u, 82u, 83u, 84u}) {
+    Rng rng(seed);
+    QueueMirror m;
+    TimeNs cluster = 0;
+    int far_jumps = 0;  // pops at least 2^16 ns after the previous pop
+    int op_index = 0;
+    for (int cycle = 0; cycle < 4; ++cycle) {
+      const int ops = 400 + static_cast<int>(rng.next_u64(400));
+      for (int op = 0; op < ops; ++op, ++op_index) {
+        const std::string where = "seed " + std::to_string(seed) + " op " +
+                                  std::to_string(op_index);
+        const auto r = rng.next_u64(20);
+        if (r < 9 || m.ref.empty()) {
+          TimeNs offset = 0;
+          switch (rng.next_u64(4)) {
+            case 0:
+              offset = static_cast<TimeNs>(rng.next_u64(4));
+              break;
+            case 1:
+              offset = static_cast<TimeNs>(rng.next_u64(1u << 16));
+              break;
+            case 2:
+              offset = static_cast<TimeNs>(
+                  rng.next_u64(std::uint64_t{1} << (17 + rng.next_u64(24))));
+              break;
+            default:
+              if (cluster <= m.now) {
+                cluster = m.now + (TimeNs{1} << (17 + rng.next_u64(8)));
+              }
+              offset = cluster - m.now +
+                       static_cast<TimeNs>(rng.next_u64(256));
+          }
+          m.push(rng, m.now + offset);
+          continue;
+        }
+        ASSERT_EQ(m.q.size(), m.ref.size()) << where;
+        if (r == 19) {
+          expect_same_event(m.q.top(), *m.want(), true, where + " top");
+          continue;
+        }
+        const TimeNs before = m.now;
+        m.pop(r >= 17, where);
+        far_jumps += m.now - before >= (TimeNs{1} << 16);
+      }
+      m.drain("seed " + std::to_string(seed));
+    }
+    EXPECT_GT(far_jumps, 100) << "seed " << seed;
+  }
+}
+
+// The parallel engine's barrier exchange: a queue is peeked (which
+// settles it), then receives events below the peeked head but not below
+// its last pop.
+TEST(EventQueueDifferential, PushesBelowAPeekedHeadMatchReference) {
+  const CheckPolicyScope policy(CheckPolicy::kThrow);
+  const AuditScope audit(true);
+  for (const std::uint64_t seed : {91u, 92u, 93u, 94u}) {
+    Rng rng(seed);
+    QueueMirror m;
+    int below = 0;  // pushes strictly below the peeked head
+    int op_index = 0;
+    for (int cycle = 0; cycle < 4; ++cycle) {
+      const int ops = 300 + static_cast<int>(rng.next_u64(300));
+      for (int op = 0; op < ops; ++op, ++op_index) {
+        const std::string where = "seed " + std::to_string(seed) + " op " +
+                                  std::to_string(op_index);
+        const auto r = rng.next_u64(10);
+        if (r < 3 || m.ref.empty()) {
+          const std::uint64_t span = rng.next_u64(4) == 0 ? 4 : 1u << 17;
+          m.push(rng, m.now + static_cast<TimeNs>(rng.next_u64(span)));
+          continue;
+        }
+        ASSERT_EQ(m.q.size(), m.ref.size()) << where;
+        if (r < 6) {
+          TimeNs head = 0;
+          if (r < 5) {
+            head = m.q.top_time();
+            EXPECT_EQ(head, m.want()->time) << where << " top_time";
+          } else {
+            const sim::Event e = m.q.top();
+            expect_same_event(e, *m.want(), true, where + " top");
+            head = e.time;
+          }
+          const int n = 1 + static_cast<int>(rng.next_u64(3));
+          for (int i = 0; i < n; ++i) {
+            const TimeNs t = m.now + static_cast<TimeNs>(rng.next_u64(
+                                         static_cast<std::uint64_t>(
+                                             head - m.now + 1)));
+            below += t < head;
+            m.push(rng, t);
+          }
+          continue;
+        }
+        m.pop(r >= 8, where);
+      }
+      m.drain("seed " + std::to_string(seed));
+    }
+    EXPECT_GT(below, 20) << "seed " << seed;
   }
 }
 

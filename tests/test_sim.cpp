@@ -151,6 +151,60 @@ TEST_F(LinkTest, FifoOrderPreserved) {
   }
 }
 
+// The waiting packets live in a ring that starts at four slots and
+// doubles. Drive it through a wrap (dequeues move the head forward, then
+// enqueues fill past the end), a growth while wrapped, a second growth up
+// to drop-tail, and a take_down, checking order, queued bytes and ECN
+// marks against hand-computed values (500 B packets take 400 ns each).
+TEST_F(LinkTest, RingKeepsFifoAcrossWrapAndGrowth) {
+  for (int i = 0; i < 5; ++i) link_->enqueue(sim_, make_packet(500, i));
+  EXPECT_EQ(link_->queued_bytes(), 2000);  // 0 transmits, 1-4 fill 4 slots
+  sim_.run(800);                           // 1 and 2 start transmitting
+  EXPECT_EQ(link_->queued_bytes(), 1000);
+  link_->enqueue(sim_, make_packet(500, 5));  // wraps to slot 0
+  link_->enqueue(sim_, make_packet(500, 6));
+  link_->enqueue(sim_, make_packet(500, 7));  // full while wrapped: grows
+  EXPECT_EQ(link_->queued_bytes(), 2500);
+  link_->enqueue(sim_, make_packet(500, 8));  // 2500 B ahead: unmarked
+  link_->enqueue(sim_, make_packet(500, 9));  // 3000 B ahead: marked
+  EXPECT_EQ(link_->queued_bytes(), 3500);
+  sim_.run();
+  EXPECT_EQ(link_->queued_bytes(), 0);
+  ASSERT_EQ(arrivals_.size(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(arrivals_[i].second.flow_id, i);
+    EXPECT_EQ(arrivals_[i].second.ecn_ce, i == 9) << "packet " << i;
+  }
+
+  // Idle again: 10 transmits, 11-22 wait (6000 B, growing 8 -> 16
+  // slots), 23 finds the queue full. 17-22 see >= 3000 B ahead.
+  arrivals_.clear();
+  for (int i = 10; i < 24; ++i) link_->enqueue(sim_, make_packet(500, i));
+  EXPECT_EQ(link_->queued_bytes(), 6000);
+  EXPECT_EQ(link_->drops(), 1u);
+  sim_.run();
+  ASSERT_EQ(arrivals_.size(), 13u);
+  for (int i = 0; i < 13; ++i) {
+    EXPECT_EQ(arrivals_[i].second.flow_id, 10 + i);
+    EXPECT_EQ(arrivals_[i].second.ecn_ce, 10 + i >= 17) << "packet " << i;
+  }
+  EXPECT_EQ(link_->ecn_marks(), 7u);
+
+  // take_down expels exactly the waiting packets; the ring is reused.
+  for (int i = 0; i < 4; ++i) link_->enqueue(sim_, make_packet(500, i));
+  link_->take_down();
+  EXPECT_EQ(link_->expelled(), 3u);
+  EXPECT_EQ(link_->queued_bytes(), 0);
+  link_->bring_up();
+  sim_.run();
+  arrivals_.clear();
+  for (int i = 0; i < 3; ++i) link_->enqueue(sim_, make_packet(500, 30 + i));
+  sim_.run();
+  ASSERT_EQ(arrivals_.size(), 3u);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(arrivals_[i].second.flow_id, 30 + i);
+  EXPECT_EQ(link_->queued_bytes(), 0);
+}
+
 TEST_F(LinkTest, SmallPacketFastSerialization) {
   link_->enqueue(sim_, make_packet(64));
   sim_.run();

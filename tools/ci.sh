@@ -46,6 +46,11 @@
 #      Timings are recorded, not gated — absolute ns/op depends on the
 #      machine; the committed JSON trajectory is what reviewers eyeball
 #      for regressions.
+#   9. benchmark self-test: perfbench/self_test.py builds the benchmark
+#      (into the ignored .bench_build/) and checks every workload's
+#      metrics, output pins and held-out seed, so a change that breaks
+#      the benchmark's build or pins fails here rather than only when the
+#      benchmark is next run.
 #
 # clang-tidy is run only if installed; its absence is not a failure
 # (the container image ships gcc only — .clang-tidy is still the config
@@ -391,5 +396,8 @@ require(by_name.get("hs_cap_guard_jf100k", {}).get("cap_refused") == 1,
 print("perf smoke: hyperscale cases OK (bracket ordered, bit-identity, "
       "cap guard)")
 PY
+
+step "benchmark self-test: perfbench/self_test.py"
+python3 perfbench/self_test.py
 
 step "ci.sh: all gates passed"
