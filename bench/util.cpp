@@ -393,7 +393,6 @@ core::PacketResult run_point(const Scenario& s,
   opts.net.routing.mode = s.mode;
   opts.net.server_link.rate = s.server_rate;
   opts.seed = seed;
-  opts.threads = s.threads;
   return core::run_packet_experiment(*s.topo, pairs, sizes, opts);
 }
 
@@ -409,44 +408,6 @@ Section64 section64_topologies(bool full) {
     out.xpander = std::move(x.topo);
   }
   return out;
-}
-
-void print_three_panels(const std::string& sweep_label,
-                        const std::vector<Scenario>& scenarios,
-                        const std::vector<SweepRow>& rows) {
-  const struct Panel {
-    const char* title;
-    double (*get)(const core::PacketResult&);
-    int precision;
-  } panels[] = {
-      {"(a) average FCT (ms)",
-       [](const core::PacketResult& r) { return r.fct.avg_fct_ms; }, 3},
-      {"(b) 99th %-ile FCT, flows < 100KB (ms)",
-       [](const core::PacketResult& r) { return r.fct.p99_short_fct_ms; }, 3},
-      {"(c) avg throughput, flows >= 100KB (Gbps)",
-       [](const core::PacketResult& r) { return r.fct.avg_long_tput_gbps; },
-       3},
-  };
-  for (const auto& panel : panels) {
-    std::printf("%s\n", panel.title);
-    std::vector<std::string> header{sweep_label};
-    for (const auto& s : scenarios) header.push_back(s.label);
-    header.push_back("health");
-    TextTable t(header);
-    for (const auto& row : rows) {
-      std::vector<std::string> cells{TextTable::fmt(row.x, 2)};
-      std::string health;
-      for (const auto& r : row.results) {
-        cells.push_back(TextTable::fmt(panel.get(r), panel.precision));
-        const auto note = health_note(r);
-        if (note != "ok" && health.empty()) health = note;
-      }
-      cells.push_back(health.empty() ? "ok" : health);
-      t.add_row(std::move(cells));
-    }
-    t.print();
-    std::printf("\n");
-  }
 }
 
 }  // namespace flexnets::bench

@@ -158,10 +158,6 @@ struct Scenario {
   const topo::Topology* topo = nullptr;
   routing::RoutingMode mode = routing::RoutingMode::kEcmp;
   RateBps server_rate = 10 * kGbps;  // raise to model "no server bottleneck"
-  // Packet-engine workers: 1 = serial, > 1 = the conservative PDES engine
-  // (sim/pdes/), which reproduces the serial results bit for bit -- this
-  // is purely a wall-clock knob.
-  int threads = 1;
 };
 
 // Measurement window used by the packet benches. The paper measures flows
@@ -188,17 +184,5 @@ struct Section64 {
   topo::Topology xpander;
 };
 Section64 section64_topologies(bool full);
-
-// Prints the paper's three standard panels for a sweep: average FCT (ms),
-// 99th-percentile short-flow FCT (ms), and average long-flow throughput
-// (Gbps). `sweep_label` names the x column; rows are (x, per-scenario
-// results).
-struct SweepRow {
-  double x = 0.0;
-  std::vector<core::PacketResult> results;  // one per scenario
-};
-void print_three_panels(const std::string& sweep_label,
-                        const std::vector<Scenario>& scenarios,
-                        const std::vector<SweepRow>& rows);
 
 }  // namespace flexnets::bench

@@ -123,15 +123,17 @@ class ThreadPool {
 };
 
 // Runs fn(0), ..., fn(n - 1) on the pool plus the calling thread and
-// blocks until all complete. fn(i) must only write state owned by index i;
-// under that contract the results are independent of thread count and
-// scheduling. If any invocations throw, the lowest-index exception is
-// rethrown after every invocation has finished.
+// blocks until all complete: a pool of k workers computes on k + 1
+// threads, so even a 1-worker pool runs two points at once. fn(i) must
+// only write state owned by index i; under that contract the results are
+// independent of thread count and scheduling. If any invocations throw,
+// the lowest-index exception is rethrown after every invocation has
+// finished.
 template <typename F>
 void parallel_for_indexed(ThreadPool& pool, std::size_t n, F&& fn) {
   if (n == 0) return;
-  if (n == 1 || pool.size() <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
+  if (n == 1) {
+    fn(0);
     return;
   }
   std::vector<std::future<void>> futures;

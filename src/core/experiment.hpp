@@ -60,6 +60,14 @@ struct PacketResult {
   Status status;  // kBudgetExhausted when truncated
 };
 
+// The flow list run_packet_experiment simulates: llround(arrival_rate x
+// (window_end + arrival_tail)) Poisson arrivals, at least one, drawn from
+// opts.seed. Harnesses that open the flows through another transport
+// (MPTCP) take their flows from here, so they simulate the same ones.
+std::vector<workload::FlowSpec> packet_experiment_flows(
+    const workload::PairDistribution& pairs,
+    const workload::FlowSizeDistribution& sizes, const PacketSimOptions& opts);
+
 PacketResult run_packet_experiment(const topo::Topology& topo,
                                    const workload::PairDistribution& pairs,
                                    const workload::FlowSizeDistribution& sizes,

@@ -7,17 +7,22 @@
 
 namespace flexnets::core {
 
-PacketResult run_packet_experiment(const topo::Topology& topo,
-                                   const workload::PairDistribution& pairs,
-                                   const workload::FlowSizeDistribution& sizes,
-                                   const PacketSimOptions& opts) {
+std::vector<workload::FlowSpec> packet_experiment_flows(
+    const workload::PairDistribution& pairs,
+    const workload::FlowSizeDistribution& sizes, const PacketSimOptions& opts) {
   // Flows arrive from t = 0 through window_end + tail.
   const double horizon_sec = to_seconds(opts.window_end + opts.arrival_tail);
   const int num_flows = std::max(
       1, static_cast<int>(std::llround(opts.arrival_rate * horizon_sec)));
+  return workload::generate_flows(pairs, sizes, opts.arrival_rate, num_flows,
+                                  opts.seed);
+}
 
-  const auto flows = workload::generate_flows(pairs, sizes, opts.arrival_rate,
-                                              num_flows, opts.seed);
+PacketResult run_packet_experiment(const topo::Topology& topo,
+                                   const workload::PairDistribution& pairs,
+                                   const workload::FlowSizeDistribution& sizes,
+                                   const PacketSimOptions& opts) {
+  const auto flows = packet_experiment_flows(pairs, sizes, opts);
 
   sim::PacketNetwork net(topo, opts.net);
 

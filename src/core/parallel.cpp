@@ -26,9 +26,11 @@ void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // Deliberately not capped at n: nested grids share this pool, so a
-  // 2-cell outer grid over 10-point sweeps still wants all the workers.
-  ThreadPool pool(resolved);
+  // The caller computes too while it waits, so `resolved` threads need
+  // resolved - 1 workers. Deliberately not capped at n: nested grids share
+  // this pool, so a 2-cell outer grid over 10-point sweeps still wants all
+  // the workers.
+  ThreadPool pool(resolved - 1);
   parallel_for_indexed(pool, n, fn);
 }
 

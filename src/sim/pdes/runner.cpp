@@ -109,7 +109,8 @@ class Engine {
       lps_.push_back(std::make_unique<LpRuntime>(*this, i, part.num_lps));
     }
     if (threads_ > 1 && part.num_lps > 1) {
-      pool_ = std::make_unique<ThreadPool>(threads_);
+      // The dispatching thread runs LPs too while it waits.
+      pool_ = std::make_unique<ThreadPool>(threads_ - 1);
     }
   }
 

@@ -159,8 +159,9 @@ TEST(TwoRackCornerCase, VlbBeatsEcmpWhenAdjacentRacksSaturate) {
   EXPECT_LT(vlb.worst, ecmp.worst)
       << "VLB should finish the rack-pair hotspot sooner than ECMP";
   // (The dramatic FCT gap of Fig 7(b) appears under Poisson load sweeps --
-  // see bench_fig7b; a fixed batch bounds the makespan gap by the capacity
-  // ratio minus VLB's own collisions, so only strict ordering is asserted.)
+  // see bench_packet_figures --figure fig7b; a fixed batch bounds the
+  // makespan gap by the capacity ratio minus VLB's own collisions, so only
+  // strict ordering is asserted.)
 }
 
 TEST(HybIntegration, ShortFlowsStayOnShortPathsLongFlowsSpread) {

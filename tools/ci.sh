@@ -22,6 +22,10 @@
 #      reproduce the serial digest; then the COORDINATOR is SIGKILLed
 #      mid-grid (workers must die with it via PDEATHSIG — no orphans)
 #      and --resume over the merged journal must again match bit for bit
+#   4c. packet-figure gate: bench_packet_figures runs Fig 7(b) and the
+#      HYB ablation at --threads 1, --threads 2 and --workers 2; the three
+#      stdouts must be byte-identical once the coordinator's "sharded ..."
+#      status lines are dropped (every table prints from grid records)
 #   5. asan-ubsan preset: rebuild and rerun the full suite under
 #      AddressSanitizer + UndefinedBehaviorSanitizer (-Werror on), plus
 #      an explicit pass over the corrupt-input corpus (topo files and
@@ -265,6 +269,25 @@ if [[ "$REF_DIGEST" != "$CHAOS_DIGEST" ]]; then
   exit 1
 fi
 echo "sharded resume digest matches uninterrupted serial run: $CHAOS_DIGEST"
+
+# Packet-figure gate: the same figures computed in-process on one and two
+# threads and sharded across two worker subprocesses must print the same
+# tables and digest lines (about 10 s for the three runs on 4 cores).
+step "packet-figure gate: --threads 1 / --threads 2 / --workers 2 print the same tables"
+PF=(./build/bench/bench_packet_figures --figure fig7b --figure ablation_hyb)
+"${PF[@]}" --threads 1 > "$RES_DIR/pf_t1.out"
+"${PF[@]}" --threads 2 > "$RES_DIR/pf_t2.out"
+"${PF[@]}" --workers 2 | grep -v '^sharded ' > "$RES_DIR/pf_w2.out"
+[[ "$(grep -c '^digest ' "$RES_DIR/pf_t1.out")" -eq 2 ]] || {
+  echo "packet-figure gate: expected two digest lines"; exit 1; }
+for run in pf_t2 pf_w2; do
+  if ! cmp -s "$RES_DIR/pf_t1.out" "$RES_DIR/$run.out"; then
+    echo "packet-figure gate: $run stdout differs from --threads 1"
+    diff "$RES_DIR/pf_t1.out" "$RES_DIR/$run.out" | head -20
+    exit 1
+  fi
+done
+echo "packet figures identical at --threads 1/2 and --workers 2"
 
 if command -v clang-tidy >/dev/null 2>&1; then
   step "clang-tidy (config: .clang-tidy)"
