@@ -280,7 +280,8 @@ int main(int argc, char** argv) {
         const metrics::DropBreakdown drops{
             r.stats.blackhole_drops, r.stats.expelled_packets,
             r.stats.gray_loss_drops};
-        return std::vector<std::pair<std::string, double>>{
+        core::JournalRecord rec;
+        rec.values = {
             {"loss_prob", lp},
             {"detect_threshold", static_cast<double>(thr)},
             {"flap_period_us", static_cast<double>(fp) / kMicrosecond},
@@ -299,6 +300,7 @@ int main(int argc, char** argv) {
              static_cast<double>(r.stats.post_repair_blackholes)},
             {"incomplete_flows",
              static_cast<double>(r.fct.incomplete_flows)}};
+        return rec;
       });
 
   bool ok = true;

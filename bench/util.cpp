@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "common/digest.hpp"
-#include "flow/throughput.hpp"
 #include "sweep/coordinator.hpp"
 #include "sweep/worker.hpp"
 #include "topo/xpander.hpp"
@@ -73,11 +72,6 @@ ResilientFlags parse_resilient_flags(int argc, char** argv) {
       }
     }
   }
-  // Resuming continues the newest named file unless a different journal
-  // was named.
-  if (!flags.resume_paths.empty() && flags.journal_path.empty()) {
-    flags.journal_path = flags.resume_paths.back();
-  }
   return flags;
 }
 
@@ -94,8 +88,12 @@ void init_resilient_state(const ResilientFlags& flags,
     std::printf("resume: %zu journaled points in %zu file(s)\n",
                 state->completed.size(), flags.resume_paths.size());
   }
-  if (!flags.journal_path.empty()) {
-    const auto st = state->journal.open(flags.journal_path);
+  const std::string& journal = flags.journal_path.empty() &&
+                                       !flags.resume_paths.empty()
+                                   ? flags.resume_paths.back()
+                                   : flags.journal_path;
+  if (!journal.empty()) {
+    const auto st = state->journal.open(journal);
     if (!st.ok()) {
       std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
       std::exit(2);
@@ -109,30 +107,10 @@ void sleep_point(int ms) {
   if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-}  // namespace
-
-std::vector<core::FluidPointRecord> sweep_with_flags(
-    const topo::Topology& topo, core::FluidSweepOptions opts,
-    const std::string& key_prefix, ResilientState* state,
-    int point_sleep_ms) {
-  if (point_sleep_ms > 0) {
-    opts.point_hook = [point_sleep_ms](std::size_t) {
-      sleep_point(point_sleep_ms);
-    };
-  }
-  core::ResilientSweepOptions ropts;
-  ropts.sweep = std::move(opts);
-  ropts.journal = &state->journal;
-  ropts.completed = &state->completed;
-  ropts.key_prefix = key_prefix;
-  return core::fluid_sweep_resilient(topo, ropts);
-}
-
+// The in-process grid behind run_grid_resilient_sharded.
 std::vector<core::JournalRecord> run_grid_resilient(
     std::size_t n, int threads, const std::string& key_prefix,
-    ResilientState* state, int point_sleep_ms,
-    const std::function<std::vector<std::pair<std::string, double>>(
-        std::size_t)>& fn) {
+    ResilientState* state, int point_sleep_ms, const PointFn& fn) {
   std::vector<core::JournalRecord> out(n);
   const auto statuses = core::run_indexed_contained(
       n,
@@ -144,9 +122,8 @@ std::vector<core::JournalRecord> run_grid_resilient(
           return Status(out[i].code, out[i].message);
         }
         sleep_point(point_sleep_ms);
-        core::JournalRecord rec;
+        core::JournalRecord rec = fn(i);  // an escape leaves out[i] keyless
         rec.key = key;
-        rec.values = fn(i);  // an escape here leaves out[i] keyless
         FLEXNETS_CHECK(state->journal.append(rec).ok(),
                        "journal append failed");
         out[i] = std::move(rec);
@@ -165,6 +142,8 @@ std::vector<core::JournalRecord> run_grid_resilient(
   }
   return out;
 }
+
+}  // namespace
 
 ShardFlags parse_shard_flags(int argc, char** argv) {
   ShardFlags flags;
@@ -254,26 +233,21 @@ std::vector<core::JournalRecord> run_grid_resilient_sharded(
     int argc, char** argv, std::size_t n, int threads,
     const std::string& key_prefix, ResilientState* state,
     const ResilientFlags& rflags, const ShardFlags& sflags,
-    const std::function<std::vector<std::pair<std::string, double>>(
-        std::size_t)>& fn) {
+    const PointFn& fn) {
   if (!sflags.worker_grid.empty()) {
     if (sflags.worker_grid != key_prefix) {
-      // A worker targeting another grid of this binary: placeholder
-      // records keep control flow moving toward the target grid.
-      std::vector<core::JournalRecord> out(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i].key = key_prefix + "/" + std::to_string(i);
-      }
-      return out;
+      std::fprintf(stderr,
+                   "error: --sweep-worker=%s: this run's grid is '%s'\n",
+                   sflags.worker_grid.c_str(), key_prefix.c_str());
+      std::exit(2);
     }
     sweep::WorkerOptions wopts;
     wopts.num_points = n;
     wopts.key_prefix = key_prefix;
     wopts.fn = [&](std::size_t i) {
       sleep_point(rflags.point_sleep_ms);
-      core::JournalRecord rec;
+      core::JournalRecord rec = fn(i);
       rec.key = key_prefix + "/" + std::to_string(i);
-      rec.values = fn(i);
       return rec;
     };
     std::exit(sweep::run_worker(wopts));
@@ -283,41 +257,6 @@ std::vector<core::JournalRecord> run_grid_resilient_sharded(
   }
   return run_grid_resilient(n, threads, key_prefix, state,
                             rflags.point_sleep_ms, fn);
-}
-
-std::vector<core::FluidPointRecord> sweep_with_flags_sharded(
-    int argc, char** argv, const topo::Topology& topo,
-    core::FluidSweepOptions opts, const std::string& key_prefix,
-    ResilientState* state, const ResilientFlags& rflags,
-    const ShardFlags& sflags) {
-  const std::size_t n = opts.fractions.size();
-  if (!sflags.worker_grid.empty()) {
-    if (sflags.worker_grid != key_prefix) {
-      return std::vector<core::FluidPointRecord>(n);
-    }
-    const auto cache = flow::build_throughput_cache(topo);
-    sweep::WorkerOptions wopts;
-    wopts.num_points = n;
-    wopts.key_prefix = key_prefix;
-    wopts.fn = [&](std::size_t i) {
-      sleep_point(rflags.point_sleep_ms);
-      return core::to_journal_record(
-          key_prefix, i, core::fluid_sweep_point(topo, cache, opts, i));
-    };
-    std::exit(sweep::run_worker(wopts));
-  }
-  if (sflags.workers > 1) {
-    const auto records =
-        run_coordinator(argc, argv, n, key_prefix, state, sflags);
-    std::vector<core::FluidPointRecord> out;
-    out.reserve(records.size());
-    for (const auto& rec : records) {
-      out.push_back(core::from_journal_record(rec));
-    }
-    return out;
-  }
-  return sweep_with_flags(topo, std::move(opts), key_prefix, state,
-                          rflags.point_sleep_ms);
 }
 
 std::uint64_t grid_digest(const std::vector<core::JournalRecord>& records) {
@@ -340,12 +279,6 @@ void print_digest_line(const std::string& label, std::uint64_t digest,
 std::size_t count_failed(const std::vector<core::JournalRecord>& records) {
   std::size_t n = 0;
   for (const auto& r : records) n += r.ok() ? 0 : 1;
-  return n;
-}
-
-std::size_t count_failed(const std::vector<core::FluidPointRecord>& records) {
-  std::size_t n = 0;
-  for (const auto& r : records) n += r.status.ok() ? 0 : 1;
   return n;
 }
 

@@ -12,7 +12,6 @@
 
 #include "common/table.hpp"
 #include "core/experiment.hpp"
-#include "core/fluid_runner.hpp"
 #include "core/journal.hpp"
 #include "core/parallel.hpp"
 #include "routing/strategy.hpp"
@@ -46,7 +45,7 @@ std::vector<T> run_grid(std::size_t n, int threads, F&& fn) {
 }
 
 // ---------------------------------------------------------------------------
-// Resilient execution flags shared by the fig benches (core/journal.hpp):
+// Resilient execution flags shared by the grid benches (core/journal.hpp):
 //   --journal <path>        append each finished grid point durably
 //   --resume <path>         skip points already in <path>, append the rest
 //                           to the same file (implies --journal <path>)
@@ -92,49 +91,33 @@ struct ResilientState {
   core::Journal journal;
   std::map<std::string, core::JournalRecord> completed;
 };
-// Opens the journal / loads the resume index per the flags. Exits with a
-// message on an unopenable journal or a corrupt resume file (a torn final
-// line from a kill is fine — it is dropped and that point reruns).
+// Opens the journal / loads the resume index per the flags; resuming
+// continues the newest named file unless a different journal was named.
+// Exits with a message on an unopenable journal or a corrupt resume file
+// (a torn final line from a kill is fine — it is dropped and that point
+// reruns).
 void init_resilient_state(const ResilientFlags& flags, ResilientState* state);
 
-// fluid_sweep_resilient driven by the shared flags: restores completed
-// points from state->completed, journals under "<key_prefix>/<i>", and
-// sleeps point_sleep_ms inside each computed point.
-std::vector<core::FluidPointRecord> sweep_with_flags(
-    const topo::Topology& topo, core::FluidSweepOptions opts,
-    const std::string& key_prefix, ResilientState* state,
-    int point_sleep_ms);
+// A grid point: fn(i) returns point i's record — its named values and the
+// status it ended with (a fluid solve can stop budgeted or non-converged
+// and still carry its feasible values). The grid sets the key,
+// "<key_prefix>/<i>".
+using PointFn = std::function<core::JournalRecord(std::size_t)>;
 
-// Journaled fault-contained grid for the analytic benches: fn(i) returns
-// the point's named values; a failed point keeps a structured non-ok code
-// in its record while the rest of the grid completes.
-std::vector<core::JournalRecord> run_grid_resilient(
-    std::size_t n, int threads, const std::string& key_prefix,
-    ResilientState* state, int point_sleep_ms,
-    const std::function<std::vector<std::pair<std::string, double>>(
-        std::size_t)>& fn);
-
-// run_grid_resilient behind the sharding switch: with --workers N the
-// grid runs across N worker subprocesses (sweep::run_sharded) and the
-// coordinator alone writes the merged journal; in worker mode this call
-// serves leases for its grid and exits the process. fn(i) must depend
-// only on i — that is what makes the merged result bit-identical to the
-// in-process run for ANY worker count, kill schedule, or retry history.
+// Journaled fault-contained grid: a failed point keeps a structured
+// non-ok code in its record while the rest of the grid completes. It runs
+// in-process on `threads` threads, or with --workers N across N worker
+// subprocesses (sweep::run_sharded), where the coordinator alone writes
+// the merged journal; in worker mode this call serves leases for its grid
+// and exits the process (exit 2 when the worker names another grid).
+// fn(i) must depend only on i — that is what makes the merged result
+// bit-identical to the in-process run for ANY worker count, kill
+// schedule, or retry history.
 std::vector<core::JournalRecord> run_grid_resilient_sharded(
     int argc, char** argv, std::size_t n, int threads,
     const std::string& key_prefix, ResilientState* state,
     const ResilientFlags& rflags, const ShardFlags& sflags,
-    const std::function<std::vector<std::pair<std::string, double>>(
-        std::size_t)>& fn);
-
-// sweep_with_flags behind the same switch, for the fluid-sweep benches:
-// workers evaluate core::fluid_sweep_point per lease, so the sharded
-// digest equals the serial fluid_sweep_digest bit for bit.
-std::vector<core::FluidPointRecord> sweep_with_flags_sharded(
-    int argc, char** argv, const topo::Topology& topo,
-    core::FluidSweepOptions opts, const std::string& key_prefix,
-    ResilientState* state, const ResilientFlags& rflags,
-    const ShardFlags& sflags);
+    const PointFn& fn);
 
 // Order-sensitive digest over every record's values (exact double bits) —
 // the analytic-grid analogue of core::fluid_sweep_digest.
@@ -147,7 +130,6 @@ void print_digest_line(const std::string& label, std::uint64_t digest,
                        std::size_t points, std::size_t failed);
 
 std::size_t count_failed(const std::vector<core::JournalRecord>& records);
-std::size_t count_failed(const std::vector<core::FluidPointRecord>& records);
 
 // Formats a PacketResult row note (drops / incomplete counts) for sanity.
 std::string health_note(const core::PacketResult& r);

@@ -159,7 +159,7 @@ TEST(TwoRackCornerCase, VlbBeatsEcmpWhenAdjacentRacksSaturate) {
   EXPECT_LT(vlb.worst, ecmp.worst)
       << "VLB should finish the rack-pair hotspot sooner than ECMP";
   // (The dramatic FCT gap of Fig 7(b) appears under Poisson load sweeps --
-  // see bench_packet_figures --figure fig7b; a fixed batch bounds the
+  // see bench_figures --figure fig7b; a fixed batch bounds the
   // makespan gap by the capacity ratio minus VLB's own collisions, so only
   // strict ordering is asserted.)
 }

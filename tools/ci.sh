@@ -14,16 +14,16 @@
 #      (tools/layering.json), Status discipline, and lock annotations.
 #      A violation is proven fatal by seeding a transient layering
 #      probe and requiring the analyzer to reject it.
-#   4. resilience gate: bench_fig2 --journal is SIGKILLed mid-grid and
-#      resumed with --resume; the resumed "digest fig2:" line must be
-#      bit-identical to an uninterrupted run's
-#   4b. chaos gate: the sharded sweep service (src/sweep). bench_fig2
-#      --workers 4 with FLEXNETS_CRASH_AT worker crashes must still
-#      reproduce the serial digest; then the COORDINATOR is SIGKILLed
+#   4. resilience gate: bench_figures --figure fig2 --journal is SIGKILLed
+#      mid-grid and resumed with --resume; the resumed "digest fig2:" line
+#      must be bit-identical to an uninterrupted run's
+#   4b. chaos gate: the sharded sweep service (src/sweep). bench_figures
+#      --figure fig2 --workers 4 with FLEXNETS_CRASH_AT worker crashes must
+#      still reproduce the serial digest; then the COORDINATOR is SIGKILLed
 #      mid-grid (workers must die with it via PDEATHSIG — no orphans)
 #      and --resume over the merged journal must again match bit for bit
-#   4c. packet-figure gate: bench_packet_figures runs Fig 7(b) and the
-#      HYB ablation at --threads 1, --threads 2 and --workers 2; the three
+#   4c. figure gate: bench_figures runs Fig 6(a), Fig 7(b) and the HYB
+#      ablation at --threads 1, --threads 2 and --workers 2; the three
 #      stdouts must be byte-identical once the coordinator's "sharded ..."
 #      status lines are dropped (every table prints from grid records)
 #   5. asan-ubsan preset: rebuild and rerun the full suite under
@@ -190,13 +190,14 @@ fi
 # must reproduce the uninterrupted run's digest bit for bit. The digest
 # line is "digest fig2: <16 hex> (...)"; --point-sleep-ms widens each
 # point so the kill reliably lands inside the grid.
-step "resilience gate: kill bench_fig2 mid-grid, resume, compare digests"
+step "resilience gate: kill the fig2 row mid-grid, resume, compare digests"
 RES_DIR="$(mktemp -d)"
 trap 'rm -rf "$RES_DIR"' EXIT
-./build/bench/bench_fig2 --threads 2 > "$RES_DIR/full.out"
+FIG2=(./build/bench/bench_figures --figure fig2)
+"${FIG2[@]}" --threads 2 > "$RES_DIR/full.out"
 REF_DIGEST="$(grep -oE 'digest fig2: [0-9a-f]{16}' "$RES_DIR/full.out" | awk '{print $3}')"
 [[ -n "$REF_DIGEST" ]] || { echo "resilience gate: no digest in uninterrupted run"; exit 1; }
-./build/bench/bench_fig2 --threads 2 --journal "$RES_DIR/fig2.jsonl" \
+"${FIG2[@]}" --threads 2 --journal "$RES_DIR/fig2.jsonl" \
   --point-sleep-ms 250 > "$RES_DIR/killed.out" 2>&1 &
 KILL_PID=$!
 sleep 2
@@ -210,7 +211,7 @@ if [[ "$JOURNALED" -lt 1 || "$JOURNALED" -ge 28 ]]; then
   exit 1
 fi
 echo "killed mid-grid with $JOURNALED/28 points journaled; resuming"
-./build/bench/bench_fig2 --threads 2 --resume "$RES_DIR/fig2.jsonl" > "$RES_DIR/resumed.out"
+"${FIG2[@]}" --threads 2 --resume "$RES_DIR/fig2.jsonl" > "$RES_DIR/resumed.out"
 RES_DIGEST="$(grep -oE 'digest fig2: [0-9a-f]{16}' "$RES_DIR/resumed.out" | awk '{print $3}')"
 if [[ "$REF_DIGEST" != "$RES_DIGEST" ]]; then
   echo "resilience gate: resumed digest $RES_DIGEST != uninterrupted $REF_DIGEST"
@@ -222,7 +223,7 @@ echo "resume digest matches uninterrupted run: $REF_DIGEST"
 # reproduce the uninterrupted serial digest captured above.
 step "chaos gate: sharded sweep with worker crashes + coordinator SIGKILL"
 # (a) clean sharded run: digest identical for any worker count.
-./build/bench/bench_fig2 --threads 2 --workers 4 > "$RES_DIR/sharded.out"
+"${FIG2[@]}" --threads 2 --workers 4 > "$RES_DIR/sharded.out"
 SHARDED_DIGEST="$(grep -oE 'digest fig2: [0-9a-f]{16}' "$RES_DIR/sharded.out" | awk '{print $3}')"
 if [[ "$REF_DIGEST" != "$SHARDED_DIGEST" ]]; then
   echo "chaos gate: sharded digest $SHARDED_DIGEST != serial $REF_DIGEST"
@@ -231,7 +232,7 @@ fi
 echo "workers=4 digest matches serial: $SHARDED_DIGEST"
 # (b) crash-injected workers: points 3 and 7 SIGKILL their worker on the
 # first attempt; the retry on a fresh worker must restore the digest.
-FLEXNETS_CRASH_AT=3,7 ./build/bench/bench_fig2 --threads 2 --workers 4 \
+FLEXNETS_CRASH_AT=3,7 "${FIG2[@]}" --threads 2 --workers 4 \
   > "$RES_DIR/crashed.out"
 CRASH_DIGEST="$(grep -oE 'digest fig2: [0-9a-f]{16}' "$RES_DIR/crashed.out" | awk '{print $3}')"
 if [[ "$REF_DIGEST" != "$CRASH_DIGEST" ]]; then
@@ -243,16 +244,16 @@ grep -q 'worker deaths' "$RES_DIR/crashed.out" || {
 echo "crash-injected workers recovered; digest matches: $CRASH_DIGEST"
 # (c) coordinator SIGKILL mid-grid: workers must die with it (PDEATHSIG,
 # no orphans) and --resume over the merged journal must complete the grid.
-./build/bench/bench_fig2 --threads 2 --workers 4 --journal "$RES_DIR/chaos.jsonl" \
+"${FIG2[@]}" --threads 2 --workers 4 --journal "$RES_DIR/chaos.jsonl" \
   --point-sleep-ms 400 > "$RES_DIR/chaos_killed.out" 2>&1 &
 CHAOS_PID=$!
 sleep 2
 kill -9 "$CHAOS_PID" 2>/dev/null || true
 wait "$CHAOS_PID" 2>/dev/null || true
 sleep 1
-if pgrep -f 'bench_fig2.*sweep-worker' >/dev/null 2>&1; then
+if pgrep -f 'bench_figures.*sweep-worker' >/dev/null 2>&1; then
   echo "chaos gate: orphaned workers survived the coordinator SIGKILL"
-  pkill -9 -f 'bench_fig2.*sweep-worker' || true
+  pkill -9 -f 'bench_figures.*sweep-worker' || true
   exit 1
 fi
 CHAOS_JOURNALED="$(wc -l < "$RES_DIR/chaos.jsonl")"
@@ -261,7 +262,7 @@ if [[ "$CHAOS_JOURNALED" -lt 1 || "$CHAOS_JOURNALED" -ge 28 ]]; then
   exit 1
 fi
 echo "coordinator killed with $CHAOS_JOURNALED/28 points journaled; no orphans; resuming"
-./build/bench/bench_fig2 --threads 2 --workers 4 --resume "$RES_DIR/chaos.jsonl" \
+"${FIG2[@]}" --threads 2 --workers 4 --resume "$RES_DIR/chaos.jsonl" \
   > "$RES_DIR/chaos_resumed.out"
 CHAOS_DIGEST="$(grep -oE 'digest fig2: [0-9a-f]{16}' "$RES_DIR/chaos_resumed.out" | awk '{print $3}')"
 if [[ "$REF_DIGEST" != "$CHAOS_DIGEST" ]]; then
@@ -270,24 +271,24 @@ if [[ "$REF_DIGEST" != "$CHAOS_DIGEST" ]]; then
 fi
 echo "sharded resume digest matches uninterrupted serial run: $CHAOS_DIGEST"
 
-# Packet-figure gate: the same figures computed in-process on one and two
-# threads and sharded across two worker subprocesses must print the same
-# tables and digest lines (about 10 s for the three runs on 4 cores).
-step "packet-figure gate: --threads 1 / --threads 2 / --workers 2 print the same tables"
-PF=(./build/bench/bench_packet_figures --figure fig7b --figure ablation_hyb)
+# Figure gate: the same rows (a fluid figure, a packet figure and a packet
+# ablation) computed in-process on one and two threads and sharded across
+# two worker subprocesses must print the same tables and digest lines.
+step "figure gate: --threads 1 / --threads 2 / --workers 2 print the same tables"
+PF=(./build/bench/bench_figures --figure fig6a --figure fig7b --figure ablation_hyb)
 "${PF[@]}" --threads 1 > "$RES_DIR/pf_t1.out"
 "${PF[@]}" --threads 2 > "$RES_DIR/pf_t2.out"
 "${PF[@]}" --workers 2 | grep -v '^sharded ' > "$RES_DIR/pf_w2.out"
-[[ "$(grep -c '^digest ' "$RES_DIR/pf_t1.out")" -eq 2 ]] || {
-  echo "packet-figure gate: expected two digest lines"; exit 1; }
+[[ "$(grep -c '^digest ' "$RES_DIR/pf_t1.out")" -eq 5 ]] || {
+  echo "figure gate: expected five digest lines"; exit 1; }
 for run in pf_t2 pf_w2; do
   if ! cmp -s "$RES_DIR/pf_t1.out" "$RES_DIR/$run.out"; then
-    echo "packet-figure gate: $run stdout differs from --threads 1"
+    echo "figure gate: $run stdout differs from --threads 1"
     diff "$RES_DIR/pf_t1.out" "$RES_DIR/$run.out" | head -20
     exit 1
   fi
 done
-echo "packet figures identical at --threads 1/2 and --workers 2"
+echo "figures identical at --threads 1/2 and --workers 2"
 
 if command -v clang-tidy >/dev/null 2>&1; then
   step "clang-tidy (config: .clang-tidy)"
