@@ -2,8 +2,11 @@
 // quantifies the paper's footnote 1: bisection bandwidth ("Metric of
 // Goodness") can be far from real throughput, while the path-length bound
 // tracks it tightly.
+//
+// Flags (any other argument exits 2, naming it):
+//   --threads N       topologies solved side by side
+//   --bracket-only    print the cut/dual bracket instead of solving GK
 #include <cstdio>
-#include <cstring>
 
 #include "flow/bounds.hpp"
 #include "flow/bracket.hpp"
@@ -17,7 +20,6 @@
 #include "topo/long_hop.hpp"
 #include "topo/slim_fly.hpp"
 #include "topo/xpander.hpp"
-#include "perf_json.hpp"
 #include "util.hpp"
 
 using namespace flexnets;
@@ -74,9 +76,20 @@ int run_bracket_only(const std::vector<Entry>& entries, int threads) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  int threads = 0;  // 0: FLEXNETS_THREADS, else hardware_concurrency
+  bool bracket_only = false;
+  bench::parse_flags(
+      argc, argv, "bench_bounds [--threads N] [--bracket-only]",
+      {"--threads"}, {"--bracket-only"},
+      [&](const std::string& flag, const std::string& value) {
+        if (flag == "--threads") {
+          threads = bench::at_least(flag, value, 1);
+        } else {
+          bracket_only = true;
+        }
+      });
   bench::banner("Bounds validation",
                 "measured throughput vs path-length bound vs bisection proxy");
-  const int threads = bench::parse_threads(argc, argv);
 
   std::vector<Entry> entries;
   entries.push_back({"fat-tree k=8", topo::fat_tree(8).topo});
@@ -86,11 +99,7 @@ int main(int argc, char** argv) {
   entries.push_back({"longhop 64x7", topo::long_hop(6, 1, 6)});
   entries.push_back({"dragonfly a4h2", topo::dragonfly(4, 2, 3).topo});
 
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--bracket-only") == 0) {
-      return run_bracket_only(entries, threads);
-    }
-  }
+  if (bracket_only) return run_bracket_only(entries, threads);
 
   struct Row {
     double measured = 0.0;

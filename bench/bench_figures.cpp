@@ -25,19 +25,12 @@
 //                       fig5b fig6a fig6b fig7b fig7c fig8 fig9 fig10
 //                       fig11 fig12 fig13 fig14 fig15 ablation_routing
 //                       ablation_transport ablation_hyb ablation_mptcp
-//   --threads N         points computed side by side in this process
-//   --workers N         points sharded across N worker subprocesses
-//   --max-attempts N    tries before a crashing point is quarantined
-//   --journal <path>    append each finished point durably
-//   --resume <path>     restore the points journaled in <path>; may repeat
-//   --point-sleep-ms N  pause in each computed point (a kill window)
+//   --threads, --workers, --max-attempts, --journal, --resume and
+//   --point-sleep-ms: the grid flags (bench::GridFlags)
 // REPRO_FULL=1 selects the paper-scale parameters.
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <limits>
 #include <map>
@@ -71,80 +64,11 @@ using namespace flexnets;
 
 namespace {
 
-struct Flags {
-  std::vector<std::string> figures;
-  int threads = 0;  // 0: FLEXNETS_THREADS, else hardware_concurrency
-  bench::ResilientFlags resilient;
-  bench::ShardFlags shard;
-};
-
-[[noreturn]] void usage(const std::string& problem) {
-  std::fprintf(stderr,
-               "error: %s\n"
-               "usage: bench_figures [--figure <name>]... [--threads N] "
-               "[--workers N] [--max-attempts N]\n"
-               "                     [--journal <path>] [--resume <path>]... "
-               "[--point-sleep-ms N]\n",
-               problem.c_str());
-  std::exit(2);
-}
-
-int at_least(const std::string& flag, const std::string& value, int min) {
-  int n = 0;
-  const char* end = value.data() + value.size();
-  const auto [last, ec] = std::from_chars(value.data(), end, n);
-  if (ec != std::errc{} || last != end || n < min) {
-    usage(flag + " wants an integer >= " + std::to_string(min) + ", got '" +
-          value + "'");
-  }
-  return n;
-}
-
-// Every flag takes one value, as `--flag value` or `--flag=value`.
-Flags parse_flags(int argc, char** argv) {
-  Flags f;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    const std::string flag = arg.substr(0, eq);
-    const auto value = [&]() -> std::string {
-      if (eq != std::string::npos && eq + 1 < arg.size()) {
-        return arg.substr(eq + 1);
-      }
-      if (eq != std::string::npos || i + 1 == argc ||
-          std::strncmp(argv[i + 1], "--", 2) == 0) {
-        usage(flag + " wants a value");
-      }
-      return argv[++i];
-    };
-    if (flag == "--figure") {
-      f.figures.push_back(value());
-    } else if (flag == "--threads") {
-      f.threads = at_least(flag, value(), 1);
-    } else if (flag == "--workers") {
-      f.shard.workers = at_least(flag, value(), 1);
-    } else if (flag == "--max-attempts") {
-      f.shard.max_attempts = at_least(flag, value(), 1);
-    } else if (flag == "--journal") {
-      f.resilient.journal_path = value();
-    } else if (flag == "--resume") {
-      f.resilient.resume_paths.push_back(value());
-    } else if (flag == "--point-sleep-ms") {
-      f.resilient.point_sleep_ms = at_least(flag, value(), 0);
-    } else if (flag == "--sweep-worker") {  // internal: see bench/util.hpp
-      f.shard.worker_grid = value();
-    } else {
-      usage("unknown argument '" + arg + "'");
-    }
-  }
-  return f;
-}
-
 // What a row runs with.
 struct Driver {
   int argc;
   char** argv;  // a coordinator re-executes it for its workers
-  const Flags& flags;
+  const bench::GridFlags& flags;
   bool full;  // REPRO_FULL=1: paper-scale parameters
   bench::ResilientState* state;
   std::string name;  // the row's: its grid's key prefix and digest label
@@ -152,9 +76,8 @@ struct Driver {
   // The row's one grid; fn(i) returns point i's status and values.
   std::vector<core::JournalRecord> grid(std::size_t n,
                                         const bench::PointFn& fn) const {
-    return bench::run_grid_resilient_sharded(argc, argv, n, flags.threads,
-                                             name, state, flags.resilient,
-                                             flags.shard, fn);
+    return bench::run_grid_resilient_sharded(argc, argv, n, name, state,
+                                             flags, fn);
   }
 
   void print_digest(const std::vector<core::JournalRecord>& records) const {
@@ -1470,14 +1393,27 @@ std::vector<Row> rows(bool full) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = parse_flags(argc, argv);
+  std::vector<std::string> figures;
+  bench::GridFlags flags;
+  auto valued = bench::kGridFlags;
+  valued.push_back("--figure");
+  bench::parse_flags(
+      argc, argv,
+      std::string("bench_figures [--figure <name>]... ") + bench::kGridUsage,
+      valued, {}, [&](const std::string& flag, const std::string& value) {
+        if (flag == "--figure") {
+          figures.push_back(value);
+        } else {
+          flags.set(flag, value);
+        }
+      });
   const bool full = core::repro_full();
   const auto table = rows(full);
 
   // A worker runs only the row whose grid it serves.
-  const bool worker = !flags.shard.worker_grid.empty();
-  const auto wanted = worker ? std::vector<std::string>{flags.shard.worker_grid}
-                             : flags.figures;
+  const bool worker = !flags.worker_grid.empty();
+  const auto wanted =
+      worker ? std::vector<std::string>{flags.worker_grid} : figures;
   for (const auto& name : wanted) {
     if (std::ranges::none_of(table,
                              [&](const Row& r) { return r.name == name; })) {
@@ -1489,8 +1425,7 @@ int main(int argc, char** argv) {
   }
 
   bench::ResilientState state;
-  // Workers never journal: the coordinator alone writes the merged file.
-  if (!worker) bench::init_resilient_state(flags.resilient, &state);
+  bench::init_resilient_state(flags, &state);
   for (const auto& row : table) {
     if (wanted.empty() || std::ranges::find(wanted, row.name) != wanted.end()) {
       row.run(Driver{argc, argv, flags, full, &state, row.name});
@@ -1499,7 +1434,7 @@ int main(int argc, char** argv) {
   // A worker's grid serves its leases and exits the process.
   if (worker) {
     std::fprintf(stderr, "error: --sweep-worker=%s: the row has no grid\n",
-                 flags.shard.worker_grid.c_str());
+                 flags.worker_grid.c_str());
     return 2;
   }
   return 0;

@@ -8,17 +8,12 @@
 // the same topology's clean baseline, the drop breakdown, and how much of
 // the gray damage the detector found and routed around.
 //
-// Modes / flags:
-//   (default)            human-oriented showdown tables + digest line
-//   --digest-check       serial vs PDES (--threads, else {2, 4}) digest
-//                        bit-equality on gray plans (jellyfish) and mixed
-//                        gray+binary plans (fat-tree); exits nonzero on
-//                        any divergence — the CI gray determinism gate
-//   --json [path]        append the gray_* cases into BENCH_SIM.json
-//                        (append_perf_json: micro_sim's cases survive)
-//   --journal/--resume/--workers/... the shared resilient-sweep flags
+// Flags: the grid flags (bench::GridFlags); any other argument exits 2.
+// The exit status is the acceptance gate (ctest runs it as the
+// `bench_gray` case): 1 unless every cell ends with zero post-repair
+// blackholes and a finite, positive p99 FCT inflation.
+#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -26,9 +21,7 @@
 #include "common/table.hpp"
 #include "fault/fault_plan.hpp"
 #include "metrics/degradation.hpp"
-#include "perf_json.hpp"
 #include "sim/network.hpp"
-#include "sim/pdes/runner.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/jellyfish.hpp"
 #include "topo/xpander.hpp"
@@ -110,7 +103,6 @@ metrics::FctSummary summarize_flows(const sim::PacketNetwork& net,
 struct GrayRun {
   metrics::FctSummary fct;
   sim::PacketNetwork::FaultStats stats;
-  std::uint64_t digest = 0;
 };
 
 GrayRun run_one(const topo::Topology& t, const fault::FaultPlan* plan,
@@ -118,105 +110,23 @@ GrayRun run_one(const topo::Topology& t, const fault::FaultPlan* plan,
   sim::PacketNetwork net(t, net_config(plan, detect_threshold));
   const auto flows = showdown_flows(t);
   net.run(flows, kHorizon);
-  return {summarize_flows(net, flows), net.fault_stats(),
-          net.simulator().event_digest()};
-}
-
-// --------------------------------------------------------------------------
-// --digest-check: the CI gray determinism gate. Serial vs PDES event-digest
-// bit-equality on a gray-only jellyfish plan and a mixed gray+binary
-// fat-tree plan, at each requested thread count.
-
-int digest_check(int threads_flag) {
-  CheckPolicyScope policy(CheckPolicy::kThrow);
-  AuditScope audit(true);
-
-  const auto ft = topo::fat_tree(4);
-  const auto jf = topo::jellyfish(16, 3, 2, 1);
-  struct Entry {
-    std::string label;
-    const topo::Topology* topo;
-  };
-  const std::vector<Entry> entries = {{"fattree_mixed", &ft.topo},
-                                      {"jellyfish_gray", &jf}};
-  std::vector<int> thread_counts;
-  if (threads_flag > 1) {
-    thread_counts.push_back(threads_flag);
-  } else {
-    thread_counts = {2, 4};
-  }
-
-  bool ok = true;
-  for (const auto& e : entries) {
-    // The jellyfish entry drops the hard failure so the plan is purely
-    // gray (no structural event until the restores); the fat-tree keeps
-    // the full cocktail so kFault/kRepair/kDetect interleave.
-    auto plan = gray_plan(*e.topo, 0.02, 1 * kMillisecond);
-    if (e.label == "jellyfish_gray") {
-      fault::RandomFaultOptions opt;
-      opt.link_failures = 0;
-      opt.switch_failures = 0;
-      opt.lossy_links = 2;
-      opt.loss_prob = 0.02;
-      opt.degraded_links = 1;
-      opt.degrade_fraction = 0.5;
-      opt.flapping_links = 1;
-      opt.flap_period = 1 * kMillisecond;
-      opt.flap_duty = 0.5;
-      opt.window_begin = 2 * kMillisecond;
-      opt.window_end = 5 * kMillisecond;
-      opt.repair_after = 10 * kMillisecond;
-      plan = fault::FaultPlan::random(*e.topo, opt, 99);
-    }
-    const auto flows = showdown_flows(*e.topo);
-
-    sim::PacketNetwork serial(*e.topo, net_config(&plan, 32));
-    serial.run(flows, kHorizon);
-    const std::uint64_t ref = serial.simulator().event_digest();
-    FLEXNETS_CHECK(serial.fault_stats().gray_loss_drops > 0,
-                   "digest-check plan produced no gray losses for ",
-                   e.label);
-    std::printf("digest gray_%s_serial: %016llx\n", e.label.c_str(),
-                static_cast<unsigned long long>(ref));
-
-    for (const int threads : thread_counts) {
-      sim::PacketNetwork net(*e.topo, net_config(&plan, 32));
-      sim::pdes::RunnerConfig pcfg;
-      pcfg.threads = threads;
-      const auto stats = sim::pdes::run_parallel(net, flows, pcfg, kHorizon);
-      std::printf("digest gray_%s_t%d: %016llx\n", e.label.c_str(), threads,
-                  static_cast<unsigned long long>(stats.event_digest));
-      if (stats.event_digest != ref) {
-        std::printf("FAIL: %s PDES digest (t=%d) diverged from serial\n",
-                    e.label.c_str(), threads);
-        ok = false;
-      }
-    }
-  }
-  std::printf("%s\n", ok ? "PASS: gray digests bit-identical serial vs PDES"
-                         : "FAIL: see messages above");
-  return ok ? 0 : 1;
+  return {summarize_flows(net, flows), net.fault_stats()};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::GridFlags flags;
+  bench::parse_flags(argc, argv,
+                     std::string("bench_gray ") + bench::kGridUsage,
+                     bench::kGridFlags, {},
+                     [&](const std::string& flag, const std::string& value) {
+                       flags.set(flag, value);
+                     });
   bench::banner("Gray showdown",
                 "cost-equalized resilience under gray failures");
-  const int threads = bench::parse_threads(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--digest-check") == 0) {
-      return digest_check(threads);
-    }
-  }
-  const auto flags = bench::parse_resilient_flags(argc, argv);
-  const auto shard = bench::parse_shard_flags(argc, argv);
-  std::string json_path;
-  const bool json =
-      bench::parse_json_flag(argc, argv, "BENCH_SIM.json", &json_path);
   bench::ResilientState state;
-  // Workers never journal: the coordinator alone writes the merged file.
-  if (shard.worker_grid.empty()) bench::init_resilient_state(flags, &state);
+  bench::init_resilient_state(flags, &state);
   const bool full = core::repro_full();
 
   // Same-equipment contenders (the scaled analogue of the paper's
@@ -260,10 +170,8 @@ int main(int argc, char** argv) {
     baselines.push_back(run_one(*e.topo, nullptr, 64).fct);
   }
 
-  const double grid_begin_ns = bench::monotonic_ns();
   const auto records = bench::run_grid_resilient_sharded(
-      argc, argv, n, threads, "gray", &state, flags, shard,
-      [&](std::size_t i) {
+      argc, argv, n, "gray", &state, flags, [&](std::size_t i) {
         const std::size_t topo_i = i / cells;
         std::size_t c = i % cells;
         const double lp = loss_probs[c / (thresholds.size() *
@@ -329,6 +237,13 @@ int main(int argc, char** argv) {
                   entries[i / cells].label.c_str(), i % cells);
       ok = false;
     }
+    const double p99 = r.value("fct_infl_p99");
+    if (!std::isfinite(p99) || p99 <= 0.0) {
+      std::printf("FAIL: %s cell %zu has p99 FCT inflation %g, not finite "
+                  "and positive\n",
+                  entries[i / cells].label.c_str(), i % cells, p99);
+      ok = false;
+    }
   }
   table.print();
   std::printf(
@@ -340,24 +255,5 @@ int main(int argc, char** argv) {
       "final repair the audit proves zero blackholes remain.\n\n");
   bench::print_digest_line("gray", bench::grid_digest(records),
                            records.size(), bench::count_failed(records));
-
-  if (json) {
-    // Wall time is stamped at emission, never journaled: the grid digest
-    // must stay bit-reproducible across runs and machines.
-    const double ns_per_cell =
-        (bench::monotonic_ns() - grid_begin_ns) / static_cast<double>(n);
-    std::vector<bench::PerfCase> cases;
-    for (std::size_t i = 0; i < n; ++i) {
-      bench::PerfCase c;
-      c.name = "gray_" + entries[i / cells].label + "_c" +
-               std::to_string(i % cells);
-      c.add("ns_per_op", ns_per_cell);
-      for (const auto& [key, value] : records[i].values) {
-        c.add(key, value);
-      }
-      cases.push_back(std::move(c));
-    }
-    if (!bench::append_perf_json(json_path, "micro_sim", cases)) ok = false;
-  }
   return ok ? 0 : 1;
 }

@@ -1,40 +1,24 @@
 // Hyperscale throughput evaluation: CSR-native jellyfish construction and
 // cut/dual throughput brackets at 10k / 50k / 100k switches — scales no
-// adjacency-list path reaches. Also runs the bit-identity cross-check that
-// anchors the whole flat path: GK lambda through CsrTopology + TmView must
-// equal the materialized Topology + TrafficMatrix lambda bit for bit on
-// jellyfish-32/64, or this binary exits nonzero.
+// adjacency-list path reaches.
 //
-// Modes / flags:
-//   (default)            human-oriented table of build/bracket timings.
-//   --json [path]        append the hs_* cases into BENCH_MCF.json
-//                        (append_perf_json: micro_flow's cases survive).
-//   --rss-budget-mb N    exit nonzero if peak RSS (VmHWM) exceeds N MB —
-//                        the committed memory budget for the 100k bracket.
-//   --max-switches N     skip scales above N switches (CI smoke knob).
+// Takes no flags; any argument exits 2. The exit status is the gate
+// (ctest runs it as the `bench_hyperscale` case): 1 unless every bracket
+// is ordered (0 <= lower <= upper <= 1), the GK materializer refuses the
+// 100k all-to-all TM, and peak RSS stays within kRssBudgetMb.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "common/status.hpp"
 #include "flow/bracket.hpp"
 #include "flow/throughput.hpp"
-#include "flow/tm_generators.hpp"
 #include "flow/tm_view.hpp"
-#include "perf_json.hpp"
 #include "topo/jellyfish.hpp"
 #include "util.hpp"
 
 namespace {
 
 using namespace flexnets;
-
-// Exact bit equality, the acceptance criterion — not a tolerance compare.
-bool same_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
 
 struct Scale {
   const char* tag;
@@ -45,63 +29,46 @@ constexpr int kDegree = 16;
 constexpr int kServers = 8;
 constexpr Scale kScales[] = {{"10k", 10'000}, {"50k", 50'000},
                              {"100k", 100'000}};
+// The memory budget of the whole run; the 100k bracket sets its peak.
+constexpr double kRssBudgetMb = 2048.0;
 
 // One hyperscale scale point: CSR build, implicit all-to-all TmView, and
-// the throughput bracket. Emits hs_build_* and hs_bracket_* cases; the
-// per-case peak_rss_kb is the process high-water mark after that case (run
-// order is ascending scale, so the 100k row is the committed budget).
-void run_scale(const Scale& s, std::vector<bench::PerfCase>* cases,
-               TextTable* table) {
+// the throughput bracket, printed as one table row. Returns false unless
+// the bracket is ordered.
+bool run_scale(const Scale& s, TextTable* table) {
   const double t0 = bench::monotonic_ns();
   const auto t = topo::jellyfish_csr(s.num_switches, kDegree, kServers, 1);
   const double build_ns = bench::monotonic_ns() - t0;
-
-  bench::PerfCase build{std::string("hs_build_jf") + s.tag, {}};
-  build.add("ns_per_op", build_ns);
-  build.add("switches", static_cast<double>(t.num_switches));
-  build.add("edges", static_cast<double>(t.num_network_links()));
-  build.add("peak_rss_kb", bench::peak_rss_kb());
-  cases->push_back(build);
 
   const auto view = flow::all_to_all_view(t, t.tors());
   const double t1 = bench::monotonic_ns();
   const auto br = flow::throughput_bracket(t, view);
   const double bracket_ns = bench::monotonic_ns() - t1;
 
-  bench::PerfCase bracket{std::string("hs_bracket_jf") + s.tag, {}};
-  bracket.add("ns_per_op", bracket_ns);
-  bracket.add("lower", br.lower);
-  bracket.add("upper", br.upper);
-  bracket.add("upper_node_cut", br.upper_node_cut);
-  bracket.add("upper_spectral_cut", br.upper_spectral_cut);
-  bracket.add("upper_path_length", br.upper_path_length);
-  bracket.add("commodities", static_cast<double>(view.num_commodities()));
-  bracket.add("peak_rss_kb", bench::peak_rss_kb());
-  cases->push_back(bracket);
-
   table->add_row({std::string("jellyfish ") + s.tag + "x16",
                   TextTable::fmt(build_ns / 1e6, 1),
                   TextTable::fmt(bracket_ns / 1e6, 1),
                   TextTable::fmt(br.lower, 4), TextTable::fmt(br.upper, 4),
                   TextTable::fmt(bench::peak_rss_kb() / 1024.0, 0)});
+  const bool ordered = 0.0 <= br.lower && br.lower <= br.upper &&
+                       br.upper <= 1.0 + 1e-9;
+  if (!ordered) {
+    std::fprintf(stderr, "FAIL: %s bracket [%.17g, %.17g] is not ordered\n",
+                 s.tag, br.lower, br.upper);
+  }
+  return ordered;
 }
 
 // The guard that keeps the streaming path honest: handing an implicit
 // hyperscale TM to the GK materializer must refuse with structured
 // kInvalidInput, never attempt the 10^10-commodity allocation.
-bool check_cap_guard(const topo::CsrTopology& t, const flow::TmView& view,
-                     std::vector<bench::PerfCase>* cases) {
-  const auto cache = flow::build_throughput_cache(t);
-  const double t0 = bench::monotonic_ns();
-  const auto refused = flow::build_mcf_instance(cache, view);
-  const double refuse_ns = bench::monotonic_ns() - t0;
+bool check_cap_guard() {
+  const auto t = topo::jellyfish_csr(100'000, kDegree, kServers, 1);
+  const auto view = flow::all_to_all_view(t, t.tors());
+  const auto refused =
+      flow::build_mcf_instance(flow::build_throughput_cache(t), view);
   const bool ok = !refused.ok() &&
                   refused.status().code() == StatusCode::kInvalidInput;
-  bench::PerfCase c{"hs_cap_guard_jf100k", {}};
-  c.add("ns_per_op", refuse_ns);  // the refusal itself must be O(1)-cheap
-  c.add("commodities", static_cast<double>(view.num_commodities()));
-  c.add("cap_refused", ok ? 1.0 : 0.0);
-  cases->push_back(c);
   if (!ok) {
     std::fprintf(stderr,
                  "FAIL: commodity cap did not refuse a %lld-commodity "
@@ -111,103 +78,27 @@ bool check_cap_guard(const topo::CsrTopology& t, const flow::TmView& view,
   return ok;
 }
 
-// GK lambda through the flat path vs the materialized path on the same
-// wiring and the same TM. Returns false (and records bit_identical = 0) on
-// any bit difference.
-bool run_bit_check(const char* name, int n, int degree, int servers,
-                   bool permutation, std::vector<bench::PerfCase>* cases) {
-  const auto t = topo::jellyfish(n, degree, servers, 1);
-  const auto ct = topo::jellyfish_csr(n, degree, servers, 1);
-
-  double lambda_ref = 0.0;
-  double lambda_csr = 0.0;
-  double csr_solve_ns = 0.0;
-  const flow::ThroughputOptions opts{0.1, {}};
-  if (permutation) {
-    const auto active = flow::pick_active_racks(t, n / 2, 7);
-    const auto tm = flow::random_permutation_tm(t, active, 7);
-    lambda_ref = flow::per_server_throughput(t, tm, opts);
-    const auto active_csr = flow::pick_active_racks_csr(ct, n / 2, 7);
-    const auto view = flow::random_permutation_view(ct, active_csr, 7);
-    csr_solve_ns = bench::monotonic_ns();
-    lambda_csr = flow::per_server_throughput(ct, view, opts);
-    csr_solve_ns = bench::monotonic_ns() - csr_solve_ns;
-  } else {
-    const auto tm = flow::all_to_all_tm(t, t.tors());
-    lambda_ref = flow::per_server_throughput(t, tm, opts);
-    const auto view = flow::all_to_all_view(ct, ct.tors());
-    csr_solve_ns = bench::monotonic_ns();
-    lambda_csr = flow::per_server_throughput(ct, view, opts);
-    csr_solve_ns = bench::monotonic_ns() - csr_solve_ns;
-  }
-
-  const bool identical = same_bits(lambda_ref, lambda_csr);
-  bench::PerfCase c{name, {}};
-  c.add("ns_per_op", csr_solve_ns);
-  c.add("lambda", lambda_csr);
-  c.add("bit_identical", identical ? 1.0 : 0.0);
-  cases->push_back(c);
-  if (!identical) {
-    std::fprintf(stderr, "FAIL: %s lambda mismatch: csr %.17g vs ref %.17g\n",
-                 name, lambda_csr, lambda_ref);
-  }
-  return identical;
-}
-
-double parse_double_flag(int argc, char** argv, const char* flag,
-                         double fallback) {
-  const std::string eq = std::string(flag) + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == flag && i + 1 < argc) return std::atof(argv[i + 1]);
-    if (arg.rfind(eq, 0) == 0) return std::atof(arg.c_str() + eq.size());
-  }
-  return fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::parse_flags(argc, argv, "bench_hyperscale", {}, {},
+                     [](const std::string&, const std::string&) {});
   bench::banner("Hyperscale bracket",
                 "CSR jellyfish build + throughput bracket at 10k-100k "
-                "switches, GK bit-identity cross-check");
-  const double rss_budget_mb =
-      parse_double_flag(argc, argv, "--rss-budget-mb", 0.0);
-  const int max_switches = static_cast<int>(
-      parse_double_flag(argc, argv, "--max-switches", 100'000));
+                "switches");
 
-  std::vector<bench::PerfCase> cases;
   TextTable table({"topology", "build_ms", "bracket_ms", "lower", "upper",
                    "peak_rss_mb"});
-
   bool ok = true;
-  ok &= run_bit_check("hs_gk_bitcheck_jf32_a2a", 32, 6, 4, false, &cases);
-  ok &= run_bit_check("hs_gk_bitcheck_jf64_perm", 64, 8, 4, true, &cases);
-
-  for (const auto& s : kScales) {
-    if (s.num_switches > max_switches) continue;
-    run_scale(s, &cases, &table);
-    if (s.num_switches == 100'000) {
-      const auto t = topo::jellyfish_csr(s.num_switches, kDegree, kServers, 1);
-      ok &= check_cap_guard(t, flow::all_to_all_view(t, t.tors()), &cases);
-    }
-  }
-
+  for (const auto& s : kScales) ok &= run_scale(s, &table);
+  ok &= check_cap_guard();
   table.print();
-  std::printf("bit-identity: %s\n", ok ? "PASS" : "FAIL");
 
   const double rss_mb = bench::peak_rss_kb() / 1024.0;
-  if (rss_budget_mb > 0.0) {
-    std::printf("peak RSS %.0f MB (budget %.0f MB)\n", rss_mb, rss_budget_mb);
-    if (rss_mb > rss_budget_mb) {
-      std::fprintf(stderr, "FAIL: peak RSS exceeds --rss-budget-mb\n");
-      ok = false;
-    }
-  }
-
-  std::string json_path;
-  if (bench::parse_json_flag(argc, argv, "BENCH_MCF.json", &json_path)) {
-    if (!bench::append_perf_json(json_path, "micro_flow", cases)) ok = false;
+  std::printf("peak RSS %.0f MB (budget %.0f MB)\n", rss_mb, kRssBudgetMb);
+  if (rss_mb > kRssBudgetMb) {
+    std::fprintf(stderr, "FAIL: peak RSS exceeds the budget\n");
+    ok = false;
   }
   return ok ? 0 : 1;
 }

@@ -1,12 +1,12 @@
 // Orchestrator overhead benchmark: points/second through the sharded
 // sweep service (src/sweep) at workers={1,4}, plus the cost of the retry
-// machinery when workers are crash-injected mid-grid. Writes
-// BENCH_SWEEP.json (--json, tools/ci.sh perf smoke) so the orchestration
-// overhead trajectory is recorded in git alongside BENCH_MCF/BENCH_SIM.
+// machinery when workers are crash-injected mid-grid.
 //
 // The grid is synthetic — a fixed hash spin per point — so the numbers
 // isolate orchestration cost (spawn, leases, pipes, journal merge) from
-// solver cost, and the whole bench stays under a couple of seconds.
+// solver cost, and the whole bench stays under a couple of seconds. It
+// takes no flags (any argument exits 2) but the internal --sweep-worker
+// its own workers run with.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -14,9 +14,9 @@
 
 #include "common/rng.hpp"
 #include "core/journal.hpp"
-#include "perf_json.hpp"
 #include "sweep/coordinator.hpp"
 #include "sweep/worker.hpp"
+#include "util.hpp"
 
 namespace {
 
@@ -62,21 +62,23 @@ RunSample run_once(int workers) {
   return s;
 }
 
-bench::PerfCase make_case(const std::string& name, const RunSample& s) {
-  bench::PerfCase c;
-  c.name = name;
-  c.add("ns_per_op", s.ns / static_cast<double>(kPoints));
-  c.add("points_per_sec", static_cast<double>(kPoints) / (s.ns * 1e-9));
-  c.add("retries", static_cast<double>(s.result.retries));
-  c.add("worker_deaths", static_cast<double>(s.result.worker_deaths));
-  return c;
+void print_run(const char* name, const RunSample& s) {
+  std::printf("%-24s  ns_per_op=%.1f  points_per_sec=%.1f  retries=%zu  "
+              "worker_deaths=%zu\n",
+              name, s.ns / static_cast<double>(kPoints),
+              static_cast<double>(kPoints) / (s.ns * 1e-9), s.result.retries,
+              s.result.worker_deaths);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string grid;
-  if (sweep::worker_grid_flag(argc, argv, &grid)) {
+  bench::parse_flags(argc, argv, "bench_sweep", {"--sweep-worker"}, {},
+                     [&](const std::string&, const std::string& value) {
+                       grid = value;
+                     });
+  if (!grid.empty()) {
     if (grid != kPrefix) return 2;
     sweep::WorkerOptions opts;
     opts.num_points = kPoints;
@@ -113,25 +115,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<bench::PerfCase> cases;
-  cases.push_back(make_case("sweep_workers1", w1));
-  cases.push_back(make_case("sweep_workers4", w4));
-  auto crash = make_case("sweep_workers4_crash3", w4c);
-  crash.add("retry_overhead_ratio", w4c.ns / w4.ns);
-  cases.push_back(crash);
-
-  for (const auto& c : cases) {
-    std::printf("%-24s", c.name.c_str());
-    for (const auto& [k, v] : c.metrics) std::printf("  %s=%.1f", k.c_str(), v);
-    std::printf("\n");
-  }
-
-  std::string json_path;
-  if (bench::parse_json_flag(argc, argv, "BENCH_SWEEP.json", &json_path)) {
-    if (!bench::write_perf_json(json_path, "sweep_orchestrator", cases)) {
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  print_run("sweep_workers1", w1);
+  print_run("sweep_workers4", w4);
+  print_run("sweep_workers4_crash3", w4c);
+  std::printf("retry_overhead_ratio=%.2f\n", w4c.ns / w4.ns);
   return 0;
 }

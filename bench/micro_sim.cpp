@@ -1,20 +1,10 @@
 // Micro-benchmarks for the discrete-event core: event queue throughput,
-// link enqueue/dequeue cycles, and whole-simulation packets/second.
-//
-// Two modes:
-//   (default)      google-benchmark suite, human-oriented.
-//   --json [path]  runs pinned cases and writes BENCH_SIM.json — the
-//                  recorded perf trajectory tools/ci.sh smoke-checks.
+// link enqueue/dequeue cycles, and whole-simulation packets/second
+// (google-benchmark).
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-
-#include <string>
-#include <vector>
-
+#include "common/rng.hpp"
 #include "core/experiment.hpp"
-#include "perf_json.hpp"
-#include "util.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/link.hpp"
 #include "sim/network.hpp"
@@ -86,10 +76,9 @@ void BM_LinkTransmitCycle(benchmark::State& state) {
 BENCHMARK(BM_LinkTransmitCycle);
 
 core::PacketResult run_e2e_packet_sim(int threads) {
-  // A small Xpander under moderate uniform load (shared with the
-  // benchmark-mode case below). threads = 1 runs the serial engine;
-  // > 1 the conservative PDES engine (sim/pdes/) -- same results either
-  // way, so the cases differ only in wall clock.
+  // A small Xpander under moderate uniform load. threads = 1 runs the
+  // serial engine; > 1 the conservative PDES engine (sim/pdes/) -- same
+  // results either way, so the cases differ only in wall clock.
   const auto x = topo::xpander(4, 6, 3, 1);  // 30 switches, 90 servers
   const auto pairs = workload::all_to_all_pairs(x.topo, x.topo.tors());
   const auto sizes = workload::pfabric_web_search();
@@ -122,69 +111,4 @@ BENCHMARK(BM_EndToEndPacketSim)
     ->ArgName("threads")
     ->Unit(benchmark::kMillisecond);
 
-// ---------------------------------------------------------------------------
-// --json mode: pinned cases for the recorded trajectory.
-
-int run_json_mode(const std::string& path, int extra_threads) {
-  std::vector<bench::PerfCase> cases;
-
-  {
-    constexpr std::size_t kHold = 65536;
-    sim::EventQueue q;
-    Rng rng(1);
-    hold_prefill(q, kHold, rng);
-    sim::Event e;
-    const double ns = bench::time_median_ns(5, [&] {
-      for (std::size_t i = 0; i < kHold; ++i) hold_op(q, e, rng);
-    });
-    bench::PerfCase c;
-    c.name = "event_queue_hold_64k";
-    c.add("ns_per_op", ns / static_cast<double>(kHold));
-    std::printf("  %-32s %8.1f ns/pop+push\n", c.name.c_str(),
-                ns / static_cast<double>(kHold));
-    cases.push_back(c);
-  }
-
-  // End-to-end cases: the serial engine plus the parallel (sim/pdes/)
-  // engine at the pinned thread counts -- or at an explicit `--threads N`.
-  // Every case dispatches the identical event stream (the engines are
-  // bit-equal), so ns/event is directly comparable across them.
-  std::vector<int> thread_cases{1, 2, 4};
-  if (extra_threads > 1) thread_cases.push_back(extra_threads);
-  for (const int threads : thread_cases) {
-    std::uint64_t events = 0;
-    const double ns = bench::time_median_ns(3, [&] {
-      const auto r = run_e2e_packet_sim(threads);
-      events = r.events;
-    });
-    bench::PerfCase c;
-    c.name = threads == 1 ? "e2e_packet_sim_xpander30"
-                          : "e2e_packet_sim_xpander30_t" +
-                                std::to_string(threads);
-    c.add("ns_per_op", ns / static_cast<double>(events));
-    c.add("events", static_cast<double>(events));
-    std::printf("  %-32s %8.1f ns/event (%llu events)\n", c.name.c_str(),
-                ns / static_cast<double>(events),
-                static_cast<unsigned long long>(events));
-    cases.push_back(c);
-  }
-
-  return bench::write_perf_json(path, "micro_sim", cases) ? 0 : 1;
-}
-
 }  // namespace
-
-int main(int argc, char** argv) {
-  std::string path;
-  if (bench::parse_json_flag(argc, argv, "BENCH_SIM.json", &path)) {
-    // `--json --threads N` appends an e2e case at N workers on top of
-    // the pinned {1, 2, 4}. (Benchmark mode covers the same grid via the
-    // BM_EndToEndPacketSim threads arg instead of a flag.)
-    return run_json_mode(path, bench::parse_threads(argc, argv));
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}

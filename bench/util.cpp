@@ -1,9 +1,12 @@
 #include "util.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <thread>
 
 #include "common/digest.hpp"
@@ -19,64 +22,85 @@ void banner(const std::string& figure, const std::string& description) {
               core::repro_full() ? "PAPER-SCALE" : "scaled-down default");
 }
 
-int parse_threads(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      value = argv[i] + 10;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      value = argv[i + 1];
-    } else {
-      continue;
-    }
-    const int n = std::atoi(value);
-    if (n <= 0) {
-      std::fprintf(stderr,
-                   "error: --threads wants a positive integer, got '%s'\n",
-                   value);
-      std::exit(2);
-    }
-    return n;
-  }
-  return 0;  // auto: FLEXNETS_THREADS env, else hardware_concurrency
+double monotonic_ns() {
+  return static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
-ResilientFlags parse_resilient_flags(int argc, char** argv) {
-  ResilientFlags flags;
-  const auto want_value = [&](int i, const char* name) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "error: %s wants a value\n", name);
-      std::exit(2);
+double peak_rss_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      double kb = 0.0;
+      if (std::sscanf(line.c_str(), "VmHWM: %lf", &kb) == 1) return kb;
     }
-    return argv[i + 1];
+  }
+  return 0.0;
+}
+
+void parse_flags(int argc, char** argv, const std::string& usage,
+                 const std::vector<std::string>& valued,
+                 const std::vector<std::string>& switches,
+                 const FlagSetter& set) {
+  const auto fail = [&](const std::string& problem) {
+    std::fprintf(stderr, "error: %s\nusage: %s\n", problem.c_str(),
+                 usage.c_str());
+    std::exit(2);
   };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--journal") == 0) {
-      flags.journal_path = want_value(i, "--journal");
-    } else if (std::strncmp(argv[i], "--journal=", 10) == 0) {
-      flags.journal_path = argv[i] + 10;
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      flags.resume_paths.emplace_back(want_value(i, "--resume"));
-    } else if (std::strncmp(argv[i], "--resume=", 9) == 0) {
-      flags.resume_paths.emplace_back(argv[i] + 9);
-    } else if (std::strcmp(argv[i], "--point-sleep-ms") == 0 ||
-               std::strncmp(argv[i], "--point-sleep-ms=", 17) == 0) {
-      const char* value = argv[i][16] == '='
-                              ? argv[i] + 17
-                              : want_value(i, "--point-sleep-ms");
-      flags.point_sleep_ms = std::atoi(value);
-      if (flags.point_sleep_ms < 0) {
-        std::fprintf(stderr, "error: --point-sleep-ms wants >= 0, got '%s'\n",
-                     value);
-        std::exit(2);
-      }
+    const std::string arg = argv[i];
+    const auto eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    if (eq == std::string::npos && std::ranges::count(switches, flag) > 0) {
+      set(flag, "");
+    } else if (std::ranges::count(valued, flag) == 0) {
+      fail("unknown argument '" + arg + "'");
+    } else if (eq != std::string::npos && eq + 1 < arg.size()) {
+      set(flag, arg.substr(eq + 1));
+    } else if (eq == std::string::npos && i + 1 < argc &&
+               std::strncmp(argv[i + 1], "--", 2) != 0) {
+      set(flag, argv[++i]);
+    } else {
+      fail(flag + " wants a value");
     }
   }
-  return flags;
 }
 
-void init_resilient_state(const ResilientFlags& flags,
-                          ResilientState* state) {
+int at_least(const std::string& flag, const std::string& value, int min) {
+  int n = 0;
+  const char* end = value.data() + value.size();
+  const auto [last, ec] = std::from_chars(value.data(), end, n);
+  if (ec != std::errc{} || last != end || n < min) {
+    std::fprintf(stderr, "error: %s wants an integer >= %d, got '%s'\n",
+                 flag.c_str(), min, value.c_str());
+    std::exit(2);
+  }
+  return n;
+}
+
+void GridFlags::set(const std::string& flag, const std::string& value) {
+  if (flag == "--threads") {
+    threads = at_least(flag, value, 1);
+  } else if (flag == "--workers") {
+    workers = at_least(flag, value, 1);
+  } else if (flag == "--max-attempts") {
+    max_attempts = at_least(flag, value, 1);
+  } else if (flag == "--journal") {
+    journal_path = value;
+  } else if (flag == "--resume") {
+    resume_paths.push_back(value);
+  } else if (flag == "--point-sleep-ms") {
+    point_sleep_ms = at_least(flag, value, 0);
+  } else if (flag == "--sweep-worker") {
+    worker_grid = value;
+  }
+}
+
+void init_resilient_state(const GridFlags& flags, ResilientState* state) {
+  if (!flags.worker_grid.empty()) return;
   if (!flags.resume_paths.empty()) {
     const auto records = core::merge_journals(flags.resume_paths);
     if (!records.ok()) {
@@ -145,33 +169,6 @@ std::vector<core::JournalRecord> run_grid_resilient(
 
 }  // namespace
 
-ShardFlags parse_shard_flags(int argc, char** argv) {
-  ShardFlags flags;
-  const auto want_int = [](const char* value, const char* name) -> int {
-    const int n = std::atoi(value);
-    if (n <= 0) {
-      std::fprintf(stderr, "error: %s wants a positive integer, got '%s'\n",
-                   name, value);
-      std::exit(2);
-    }
-    return n;
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      flags.workers = want_int(argv[i + 1], "--workers");
-    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      flags.workers = want_int(argv[i] + 10, "--workers");
-    } else if (std::strcmp(argv[i], "--max-attempts") == 0 && i + 1 < argc) {
-      flags.max_attempts = want_int(argv[i + 1], "--max-attempts");
-    } else if (std::strncmp(argv[i], "--max-attempts=", 15) == 0) {
-      flags.max_attempts = want_int(argv[i] + 15, "--max-attempts");
-    } else if (std::strncmp(argv[i], "--sweep-worker=", 15) == 0) {
-      flags.worker_grid = argv[i] + 15;
-    }
-  }
-  return flags;
-}
-
 std::vector<std::string> worker_args(int argc, char** argv,
                                      const std::string& key_prefix) {
   std::vector<std::string> out;
@@ -187,10 +184,6 @@ std::vector<std::string> worker_args(int argc, char** argv,
         a.rfind("--sweep-worker=", 0) == 0) {
       continue;
     }
-    if (a == "--json") {
-      if (i + 1 < argc && argv[i + 1][0] != '-') ++i;  // optional path
-      continue;
-    }
     out.push_back(a);
   }
   out.push_back("--sweep-worker=" + key_prefix);
@@ -204,12 +197,12 @@ namespace {
 // failures are structured records, not orchestration errors).
 std::vector<core::JournalRecord> run_coordinator(
     int argc, char** argv, std::size_t n, const std::string& key_prefix,
-    ResilientState* state, const ShardFlags& sflags) {
+    ResilientState* state, const GridFlags& flags) {
   sweep::ShardedOptions sopts;
   sopts.exec_path = "/proc/self/exe";
   sopts.args = worker_args(argc, argv, key_prefix);
-  sopts.workers = sflags.workers;
-  sopts.max_attempts = sflags.max_attempts;
+  sopts.workers = flags.workers;
+  sopts.max_attempts = flags.max_attempts;
   sopts.journal = &state->journal;
   sopts.completed = &state->completed;
   sopts.key_prefix = key_prefix;
@@ -222,7 +215,7 @@ std::vector<core::JournalRecord> run_coordinator(
   std::printf(
       "sharded %s: %d workers | %zu computed, %zu restored, %zu retries, "
       "%zu quarantined, %zu worker deaths\n",
-      key_prefix.c_str(), sflags.workers, result->computed, result->restored,
+      key_prefix.c_str(), flags.workers, result->computed, result->restored,
       result->retries, result->quarantined, result->worker_deaths);
   return std::move(result->records);
 }
@@ -230,33 +223,31 @@ std::vector<core::JournalRecord> run_coordinator(
 }  // namespace
 
 std::vector<core::JournalRecord> run_grid_resilient_sharded(
-    int argc, char** argv, std::size_t n, int threads,
-    const std::string& key_prefix, ResilientState* state,
-    const ResilientFlags& rflags, const ShardFlags& sflags,
-    const PointFn& fn) {
-  if (!sflags.worker_grid.empty()) {
-    if (sflags.worker_grid != key_prefix) {
+    int argc, char** argv, std::size_t n, const std::string& key_prefix,
+    ResilientState* state, const GridFlags& flags, const PointFn& fn) {
+  if (!flags.worker_grid.empty()) {
+    if (flags.worker_grid != key_prefix) {
       std::fprintf(stderr,
                    "error: --sweep-worker=%s: this run's grid is '%s'\n",
-                   sflags.worker_grid.c_str(), key_prefix.c_str());
+                   flags.worker_grid.c_str(), key_prefix.c_str());
       std::exit(2);
     }
     sweep::WorkerOptions wopts;
     wopts.num_points = n;
     wopts.key_prefix = key_prefix;
     wopts.fn = [&](std::size_t i) {
-      sleep_point(rflags.point_sleep_ms);
+      sleep_point(flags.point_sleep_ms);
       core::JournalRecord rec = fn(i);
       rec.key = key_prefix + "/" + std::to_string(i);
       return rec;
     };
     std::exit(sweep::run_worker(wopts));
   }
-  if (sflags.workers > 1) {
-    return run_coordinator(argc, argv, n, key_prefix, state, sflags);
+  if (flags.workers > 1) {
+    return run_coordinator(argc, argv, n, key_prefix, state, flags);
   }
-  return run_grid_resilient(n, threads, key_prefix, state,
-                            rflags.point_sleep_ms, fn);
+  return run_grid_resilient(n, flags.threads, key_prefix, state,
+                            flags.point_sleep_ms, fn);
 }
 
 std::uint64_t grid_digest(const std::vector<core::JournalRecord>& records) {

@@ -25,11 +25,32 @@ namespace flexnets::bench {
 // scaled-down default.
 void banner(const std::string& figure, const std::string& description);
 
-// Parses `--threads N` / `--threads=N` from a bench binary's argv.
-// Returns 0 when absent, meaning auto (FLEXNETS_THREADS env, else
-// hardware_concurrency — core::resolve_threads). Exits with usage on a
-// malformed value so a typo cannot silently serialize a long run.
-int parse_threads(int argc, char** argv);
+// Monotonic wall time in nanoseconds, for timing benchmark regions. Wall
+// time is read here, in bench/, on purpose: src/ is clock-free
+// (flexnets_analyze, `wall-clock`).
+double monotonic_ns();
+
+// Peak resident set size of this process in kilobytes (VmHWM from
+// /proc/self/status); 0.0 where the proc interface is unavailable.
+double peak_rss_kb();
+
+// ---------------------------------------------------------------------------
+// Strict flag parsing: the one parser of every bench binary that takes
+// flags. `valued` names the flags that take one value, as `--flag value`
+// or `--flag=value`; `switches` names those that take none. set(flag,
+// value) applies each flag in argv order (a switch gets an empty value).
+// An argument that names no such flag, or a valued flag without its
+// value, exits 2 naming it, followed by `usage`, the binary's usage line.
+using FlagSetter =
+    std::function<void(const std::string& flag, const std::string& value)>;
+void parse_flags(int argc, char** argv, const std::string& usage,
+                 const std::vector<std::string>& valued,
+                 const std::vector<std::string>& switches,
+                 const FlagSetter& set);
+
+// `value` as an integer of at least `min`; otherwise exits 2 naming `flag`,
+// so a typo cannot silently serialize a long run.
+int at_least(const std::string& flag, const std::string& value, int min);
 
 // Evaluates fn(i) for each of the n grid cells on `threads` workers
 // (core::run_indexed semantics) and returns the results in index order.
@@ -45,43 +66,44 @@ std::vector<T> run_grid(std::size_t n, int threads, F&& fn) {
 }
 
 // ---------------------------------------------------------------------------
-// Resilient execution flags shared by the grid benches (core/journal.hpp):
-//   --journal <path>        append each finished grid point durably
-//   --resume <path>         skip points already in <path>, append the rest
-//                           to the same file (implies --journal <path>)
-//   --point-sleep-ms <n>    pause inside each *computed* point; gives the
-//                           CI kill-mid-sweep test a window to SIGKILL in
-struct ResilientFlags {
+// The flags of a bench that runs resilient grids
+// (run_grid_resilient_sharded, core/journal.hpp, src/sweep):
+//   --threads N          points computed side by side in this process
+//   --workers N          points sharded across N worker subprocesses, this
+//                        same binary re-exec'ed with --sweep-worker=<grid>
+//   --max-attempts N     tries before a crashing point is quarantined
+//   --journal <path>     append each finished point durably
+//   --resume <path>      restore the points journaled in <path>; may repeat
+//                        (partial journals, e.g. a killed coordinator's
+//                        merged file plus an older run's, are merged
+//                        last-path-wins by core::merge_journals)
+//   --point-sleep-ms N   pause in each computed point; gives the CI
+//                        kill-mid-sweep gates a window to SIGKILL in
+//   --sweep-worker=G     (internal) serve grid G's leases over fds 3/4
+struct GridFlags {
+  int threads = 0;  // 0: FLEXNETS_THREADS, else hardware_concurrency
+  int workers = 0;  // 0/1: in-process execution (no subprocesses)
+  int max_attempts = 3;
   std::string journal_path;
-  // --resume may repeat: partial journals (e.g. a killed coordinator's
-  // merged file plus an older run's) are merged last-path-wins
-  // (core::merge_journals) before any point is skipped.
   std::vector<std::string> resume_paths;
   int point_sleep_ms = 0;
-};
-// Exits with usage on a malformed value, like parse_threads.
-ResilientFlags parse_resilient_flags(int argc, char** argv);
-
-// ---------------------------------------------------------------------------
-// Sharded execution flags (src/sweep): the grid is partitioned into
-// single-point leases served by worker subprocesses — this same binary
-// re-exec'ed with --sweep-worker=<grid>.
-//   --workers N        coordinator mode with N worker subprocesses
-//   --max-attempts N   retries before a crashy point is quarantined
-//   --sweep-worker=G   (internal) serve grid G's leases over fds 3/4
-struct ShardFlags {
-  int workers = 0;  // 0/1 = in-process execution (no subprocesses)
-  int max_attempts = 3;
   std::string worker_grid;  // nonempty: this process IS a sweep worker
+
+  // Applies one of kGridFlags (parse_flags' setter).
+  void set(const std::string& flag, const std::string& value);
 };
-// Exits with usage on a malformed value, like parse_threads.
-ShardFlags parse_shard_flags(int argc, char** argv);
+inline const std::vector<std::string> kGridFlags = {
+    "--threads", "--workers",        "--max-attempts", "--journal",
+    "--resume",  "--point-sleep-ms", "--sweep-worker"};
+inline constexpr char kGridUsage[] =
+    "[--threads N] [--workers N] [--max-attempts N] [--journal <path>] "
+    "[--resume <path>]... [--point-sleep-ms N]";
 
 // This process's argv rebuilt for a worker: coordinator-only flags
-// (--workers, --max-attempts, --journal, --resume, --json) are stripped
-// and --sweep-worker=<key_prefix> appended. Everything else — scale,
-// seeds, --threads, --point-sleep-ms — passes through unchanged so the
-// worker rebuilds the exact same grid.
+// (--workers, --max-attempts, --journal, --resume) are stripped and
+// --sweep-worker=<key_prefix> appended. Everything else — scale, seeds,
+// --threads, --point-sleep-ms — passes through unchanged so the worker
+// rebuilds the exact same grid.
 std::vector<std::string> worker_args(int argc, char** argv,
                                      const std::string& key_prefix);
 
@@ -93,10 +115,11 @@ struct ResilientState {
 };
 // Opens the journal / loads the resume index per the flags; resuming
 // continues the newest named file unless a different journal was named.
-// Exits with a message on an unopenable journal or a corrupt resume file
-// (a torn final line from a kill is fine — it is dropped and that point
-// reruns).
-void init_resilient_state(const ResilientFlags& flags, ResilientState* state);
+// A sweep worker opens nothing: the coordinator alone writes the merged
+// file. Exits with a message on an unopenable journal or a corrupt resume
+// file (a torn final line from a kill is fine — it is dropped and that
+// point reruns).
+void init_resilient_state(const GridFlags& flags, ResilientState* state);
 
 // A grid point: fn(i) returns point i's record — its named values and the
 // status it ended with (a fluid solve can stop budgeted or non-converged
@@ -106,7 +129,7 @@ using PointFn = std::function<core::JournalRecord(std::size_t)>;
 
 // Journaled fault-contained grid: a failed point keeps a structured
 // non-ok code in its record while the rest of the grid completes. It runs
-// in-process on `threads` threads, or with --workers N across N worker
+// in-process on --threads threads, or with --workers N across N worker
 // subprocesses (sweep::run_sharded), where the coordinator alone writes
 // the merged journal; in worker mode this call serves leases for its grid
 // and exits the process (exit 2 when the worker names another grid).
@@ -114,10 +137,8 @@ using PointFn = std::function<core::JournalRecord(std::size_t)>;
 // bit-identical to the in-process run for ANY worker count, kill
 // schedule, or retry history.
 std::vector<core::JournalRecord> run_grid_resilient_sharded(
-    int argc, char** argv, std::size_t n, int threads,
-    const std::string& key_prefix, ResilientState* state,
-    const ResilientFlags& rflags, const ShardFlags& sflags,
-    const PointFn& fn);
+    int argc, char** argv, std::size_t n, const std::string& key_prefix,
+    ResilientState* state, const GridFlags& flags, const PointFn& fn);
 
 // Order-sensitive digest over every record's values (exact double bits) —
 // the analytic-grid analogue of core::fluid_sweep_digest.

@@ -13,8 +13,8 @@
 // The hot path runs on a flat CSR adjacency and a 4-ary-heap Dijkstra
 // (flow/solver_internals.hpp) and serves commodities grouped by source
 // from one shortest-path tree per recompute; the naive pre-optimization
-// solver is preserved verbatim in flow/mcf_reference.hpp as the golden
-// comparison oracle (ctest -L mcf, BENCH_MCF.json).
+// solver is preserved verbatim in tests/mcf/mcf_reference.hpp as the
+// golden comparison oracle (ctest -L mcf).
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,6 @@
 // Golden-lambda regression suite (`ctest -L mcf`): the optimized GK solver
 // (CSR + source grouping + 4-ary-heap Dijkstra) against the frozen
-// pre-optimization baseline (flow/mcf_reference.hpp) on pinned instances.
+// pre-optimization baseline (mcf_reference.hpp) on pinned instances.
 //
 // What is pinned:
 //   - fat-tree k=4 all-to-all: lambda ~ 1 (rearrangeably non-blocking),
@@ -17,12 +17,12 @@
 #include <gtest/gtest.h>
 
 #include "flow/mcf.hpp"
-#include "flow/mcf_reference.hpp"
 #include "flow/throughput.hpp"
 #include "flow/tm_generators.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/toy.hpp"
 #include "topo/xpander.hpp"
+#include "mcf_reference.hpp"
 
 namespace flexnets::flow {
 namespace {

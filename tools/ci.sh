@@ -1,56 +1,42 @@
 #!/usr/bin/env bash
 # One offline correctness gate for flexnets:
-#   1. tier-1: default configure, build, full ctest
-#   2. fault:  the live fault-injection suite (`ctest -L fault`) and the
-#      bench_failures_live smoke run (dip + reconvergence + zero
-#      post-repair blackholes acceptance checks)
-#   2b. gray:  the gray-failure differential suite (`ctest -L gray`) and
-#      the bench_gray --digest-check gate — same-seed event-digest
-#      bit-equality between the serial engine and PDES at --threads 2
-#      and 4 on a jellyfish pure-gray plan and a fat-tree
-#      binary+gray cocktail
-#   3. lint:   flexnets_analyze fixture self-test + src/ scan — the cross-TU static analyzer
+#   1. tier-1: default configure, build, full ctest. Besides the unit and
+#      differential suites (fault, gray, pdes, ...) this runs the bench
+#      gates (`ctest -L bench`): bench_hyperscale, bench_gray and
+#      bench_failures_live exit nonzero when an acceptance check fails
+#   2. lint:   flexnets_analyze fixture self-test + src/ scan — the cross-TU static analyzer
 #      enforcing the ported determinism rules, include-graph layering
 #      (tools/layering.json), Status discipline, and lock annotations.
 #      A violation is proven fatal by seeding a transient layering
 #      probe and requiring the analyzer to reject it.
-#   4. resilience gate: bench_figures --figure fig2 --journal is SIGKILLed
+#   3. resilience gate: bench_figures --figure fig2 --journal is SIGKILLed
 #      mid-grid and resumed with --resume; the resumed "digest fig2:" line
 #      must be bit-identical to an uninterrupted run's
-#   4b. chaos gate: the sharded sweep service (src/sweep). bench_figures
+#   3b. chaos gate: the sharded sweep service (src/sweep). bench_figures
 #      --figure fig2 --workers 4 with FLEXNETS_CRASH_AT worker crashes must
 #      still reproduce the serial digest; then the COORDINATOR is SIGKILLed
 #      mid-grid (workers must die with it via PDEATHSIG — no orphans)
 #      and --resume over the merged journal must again match bit for bit
-#   4c. figure gate: bench_figures runs Fig 6(a), Fig 7(b) and the HYB
+#   3c. figure gate: bench_figures runs Fig 6(a), Fig 7(b) and the HYB
 #      ablation at --threads 1, --threads 2 and --workers 2; the three
 #      stdouts must be byte-identical once the coordinator's "sharded ..."
 #      status lines are dropped (every table prints from grid records)
-#   5. asan-ubsan preset: rebuild and rerun the full suite under
+#   4. asan-ubsan preset: rebuild and rerun the full suite under
 #      AddressSanitizer + UndefinedBehaviorSanitizer (-Werror on), plus
 #      an explicit pass over the corrupt-input corpus (topo files and
 #      wire-protocol .frames fuzz corpus)
-#   6. tsan preset: build the parallel determinism suites under
+#   5. tsan preset: build the parallel determinism suites under
 #      ThreadSanitizer and run `ctest -L parallel` (thread pool contracts
 #      + parallel-vs-serial sweep bit-equality), `ctest -L pdes`
 #      (serial-vs-parallel packet-engine digest equality across threads,
 #      topologies, and fault plans), and `ctest -L gray` (the same
 #      equality on gray plans, where per-link loss counters and the
 #      detection machinery are in play); any report is fatal
-#   7. audited tier-1 rerun: FLEXNETS_AUDIT=1 enables the runtime
+#   6. audited tier-1 rerun: FLEXNETS_AUDIT=1 enables the runtime
 #      invariant audits (event ordering, LP feasibility/conservation,
 #      routing-table sanity, repaired-routing liveness, determinism
 #      digests)
-#   8. perf smoke: bench_micro_flow/bench_micro_sim/bench_sweep --json
-#      emit BENCH_MCF.json / BENCH_SIM.json / BENCH_SWEEP.json, bench_gray
-#      --json appends the resilience-showdown grid into BENCH_SIM.json,
-#      and the schema is validated (required keys present, lambda finite,
-#      lambda_upper >= lambda, gray cases carry a zero
-#      post_repair_blackholes).
-#      Timings are recorded, not gated — absolute ns/op depends on the
-#      machine; the committed JSON trajectory is what reviewers eyeball
-#      for regressions.
-#   9. benchmark self-test: perfbench/self_test.py builds the benchmark
+#   7. benchmark self-test: perfbench/self_test.py builds the benchmark
 #      (into the ignored .bench_build/) and checks every workload's
 #      metrics, output pins and held-out seed, so a change that breaks
 #      the benchmark's build or pins fails here rather than only when the
@@ -82,24 +68,6 @@ cmake --build build -j "$JOBS"
 
 step "tier-1: ctest"
 ctest --test-dir build --output-on-failure -j "$JOBS"
-
-step "fault suite: ctest -L fault"
-ctest --test-dir build -L fault --output-on-failure -j "$JOBS"
-
-step "live-failure smoke: bench_failures_live"
-./build/bench/bench_failures_live
-
-step "gray suite: ctest -L gray"
-ctest --test-dir build -L gray --output-on-failure -j "$JOBS"
-
-# Gray-determinism gate: the PDES engine must reproduce the serial event
-# digest bit for bit on plans that exercise per-packet loss, degraded
-# service rates, flapping, and detection-triggered repairs. bench_gray
-# --digest-check runs a jellyfish pure-gray plan and a fat-tree
-# binary+gray cocktail serially, then at --threads 2 and 4, and exits
-# nonzero on any digest mismatch (or if no gray loss was exercised).
-step "gray-determinism gate: bench_gray --digest-check"
-./build/bench/bench_gray --digest-check
 
 step "lint: rule self-test + src/ scan"
 ANALYZE_BIN="build/tools/analyze/flexnets_analyze"
@@ -325,101 +293,6 @@ ctest --test-dir build-tsan -L gray --output-on-failure -j "$JOBS"
 
 step "audited rerun: FLEXNETS_AUDIT=1 ctest"
 FLEXNETS_AUDIT=1 ctest --test-dir build --output-on-failure -j "$JOBS"
-
-step "perf smoke: micro benches --json (schema check, timings not gated)"
-./build/bench/bench_micro_flow --json BENCH_MCF.json
-# bench_hyperscale appends its hs_* cases into the same BENCH_MCF.json.
-# Gating here: the GK bit-identity cross-check (exit 1 on any lambda bit
-# mismatch) and the 2 GB peak-RSS budget for the 100k-switch bracket.
-# Timings stay non-gated like every other perf number.
-./build/bench/bench_hyperscale --json BENCH_MCF.json --rss-budget-mb 2048
-./build/bench/bench_micro_sim --json BENCH_SIM.json
-# bench_gray appends the gray_* resilience-showdown cases into the same
-# BENCH_SIM.json; its own acceptance check (zero post-repair blackholes
-# on every grid cell) makes it exit nonzero on a broken repair.
-./build/bench/bench_gray --json BENCH_SIM.json
-./build/bench/bench_sweep --json BENCH_SWEEP.json
-python3 - <<'PY'
-import json
-import math
-import sys
-
-def require(cond, what):
-    if not cond:
-        sys.exit(f"perf smoke: {what}")
-
-for path, needs_lambda in (("BENCH_MCF.json", True), ("BENCH_SIM.json", False),
-                           ("BENCH_SWEEP.json", False)):
-    with open(path) as f:
-        doc = json.load(f)
-    require(doc.get("schema_version") == 1, f"{path}: bad schema_version")
-    require(isinstance(doc.get("bench"), str), f"{path}: missing bench name")
-    cases = doc.get("cases")
-    require(isinstance(cases, list) and cases, f"{path}: no cases")
-    for case in cases:
-        require(isinstance(case.get("name"), str), f"{path}: case without name")
-        ns = case.get("ns_per_op")
-        require(isinstance(ns, (int, float)) and ns > 0 and math.isfinite(ns),
-                f"{path}: {case.get('name')}: bad ns_per_op")
-    if needs_lambda:
-        lambdas = [case["lambda"] for case in cases if "lambda" in case]
-        require(lambdas, f"{path}: no case reports lambda")
-        require(all(math.isfinite(l) and l > 0 for l in lambdas),
-                f"{path}: non-finite lambda")
-        # A certified solve reports its LP-duality upper bound; it may
-        # never sit below the feasible lambda.
-        certified = [c for c in cases if "lambda_upper" in c]
-        require(certified, f"{path}: no case reports lambda_upper")
-        for case in certified:
-            require(math.isfinite(case["lambda_upper"]) and
-                    case["lambda_upper"] >= case["lambda"],
-                    f"{path}: {case['name']}: lambda_upper < lambda")
-    print(f"perf smoke: {path} schema OK ({len(cases)} case(s))")
-
-# Gray showdown cases merged into BENCH_SIM.json: every grid cell must
-# report a finite p99 FCT inflation and a zero post-repair blackhole
-# count (the graceful-degradation acceptance bar), and all three
-# cost-equalized topologies must be present.
-with open("BENCH_SIM.json") as f:
-    doc = json.load(f)
-gray = [c for c in doc["cases"] if c["name"].startswith("gray_")]
-require(gray, "BENCH_SIM.json: no gray_* cases (bench_gray --json missing?)")
-for case in gray:
-    p99 = case.get("fct_infl_p99")
-    require(isinstance(p99, (int, float)) and math.isfinite(p99) and p99 > 0,
-            f"BENCH_SIM.json: {case['name']}: bad fct_infl_p99")
-    require(case.get("post_repair_blackholes") == 0,
-            f"BENCH_SIM.json: {case['name']}: post-repair blackholes remain")
-for topo in ("fat_tree", "xpander", "jellyfish"):
-    require(any(c["name"].startswith(f"gray_{topo}_") for c in gray),
-            f"BENCH_SIM.json: no gray cases for {topo}")
-print(f"perf smoke: gray showdown cases OK ({len(gray)} cell(s), "
-      "zero post-repair blackholes)")
-
-# Hyperscale cases merged into BENCH_MCF.json: the root peak_rss_kb must be
-# recorded, the 100k bracket must be present and well-ordered
-# (0 <= lower <= upper <= 1), and the bit-identity checks must have passed.
-with open("BENCH_MCF.json") as f:
-    doc = json.load(f)
-rss = doc.get("peak_rss_kb")
-require(isinstance(rss, (int, float)) and rss > 0 and math.isfinite(rss),
-        "BENCH_MCF.json: missing/invalid root peak_rss_kb")
-by_name = {case["name"]: case for case in doc["cases"]}
-require("hs_bracket_jf100k" in by_name,
-        "BENCH_MCF.json: no hs_bracket_jf100k case")
-br = by_name["hs_bracket_jf100k"]
-require(0.0 <= br["lower"] <= br["upper"] <= 1.0 + 1e-9,
-        "BENCH_MCF.json: hs_bracket_jf100k bracket is not ordered")
-require(br.get("peak_rss_kb", 0) > 0,
-        "BENCH_MCF.json: hs_bracket_jf100k lacks peak_rss_kb")
-for name in ("hs_gk_bitcheck_jf32_a2a", "hs_gk_bitcheck_jf64_perm"):
-    require(by_name.get(name, {}).get("bit_identical") == 1,
-            f"BENCH_MCF.json: {name} not bit-identical")
-require(by_name.get("hs_cap_guard_jf100k", {}).get("cap_refused") == 1,
-        "BENCH_MCF.json: commodity cap did not refuse at 100k")
-print("perf smoke: hyperscale cases OK (bracket ordered, bit-identity, "
-      "cap guard)")
-PY
 
 step "benchmark self-test: perfbench/self_test.py"
 python3 perfbench/self_test.py
