@@ -11,6 +11,8 @@
 // NOTE: the dynamic fabric is simulated at flow granularity with no
 // congestion control or ACK path, which strictly FAVORS it; the static
 // Xpander numbers come from the full DCTCP packet simulation.
+//
+// Takes no flags; any argument exits 2, naming it.
 #include <cstdio>
 
 #include "dynnet/dynamic_network.hpp"
@@ -36,7 +38,9 @@ metrics::FctSummary dyn_summary(const std::vector<dynnet::DynFlowRecord>& recs,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_flags(argc, argv, "bench_ablation_dynamic", {}, {},
+                     [](const std::string&, const std::string&) {});
   bench::banner("Ablation: static vs explicit dynamic fabric",
                 "equal cost (delta=1.5), Skew(0.04,0.77), pFabric sizes");
 

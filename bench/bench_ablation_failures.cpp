@@ -3,6 +3,8 @@
 // fluid-flow per-server throughput on hard (longest-matching) TMs over
 // half the racks. Expanders' many short disjoint paths degrade gracefully;
 // the fat-tree's structured stages lose proportionally more.
+//
+// Takes no flags; any argument exits 2, naming it.
 #include <cstdio>
 
 #include "flow/throughput.hpp"
@@ -12,7 +14,9 @@
 
 using namespace flexnets;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_flags(argc, argv, "bench_ablation_failures", {}, {},
+                     [](const std::string&, const std::string&) {});
   bench::banner("Ablation: link failures",
                 "fluid throughput under growing link-failure fractions");
 

@@ -4,6 +4,8 @@
 // top of that heuristic and reports how much further throughput can be
 // pushed down -- for the expander AND the equal-equipment fat-tree, so the
 // section 5 comparisons' robustness to the TM choice is visible.
+//
+// Takes no flags; any argument exits 2, naming it.
 #include <cstdio>
 
 #include "flow/adversary.hpp"
@@ -15,7 +17,9 @@
 
 using namespace flexnets;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_flags(argc, argv, "bench_adversary", {}, {},
+                     [](const std::string&, const std::string&) {});
   bench::banner("Adversarial TM search",
                 "local search below the longest-matching heuristic");
 

@@ -13,7 +13,6 @@
 #include "flow/throughput.hpp"
 #include "flow/tm_generators.hpp"
 #include "flow/tm_view.hpp"
-#include "topo/csr_build.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/jellyfish.hpp"
@@ -42,13 +41,13 @@ int run_bracket_only(const std::vector<Entry>& entries, int threads) {
   const auto rows =
       bench::run_grid(entries.size(), threads, [&](std::size_t i) {
         const auto& e = entries[i];
-        const auto ct = topo::csr_from(e.t);
-        const auto active = flow::pick_active_racks_csr(
-            ct, static_cast<int>(ct.tors().size()), 1);
-        const auto view = flow::longest_matching_view(ct, active);
+        const auto active = flow::pick_active_racks(
+            e.t, static_cast<int>(e.t.tors().size()), 1);
+        const auto view = flow::TmView::from_traffic_matrix(
+            flow::longest_matching_tm(e.t, active));
         const double t0 = bench::monotonic_ns();
         Row r;
-        r.br = flow::throughput_bracket(ct, view);
+        r.br = flow::throughput_bracket(e.t, view);
         r.bracket_ms = (bench::monotonic_ns() - t0) / 1e6;
         return r;
       });

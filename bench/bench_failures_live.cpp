@@ -9,6 +9,8 @@
 // drawn from the same distribution (same options, same seed). The
 // expanders host servers on every switch, so their plans contain only
 // link failures; the fat-tree also loses an aggregation/core switch.
+//
+// Takes no flags; any argument exits 2, naming it.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -65,7 +67,9 @@ LiveRun run_live(const topo::Topology& t, const fault::FaultPlan& plan,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_flags(argc, argv, "bench_failures_live", {}, {},
+                     [](const std::string&, const std::string&) {});
   bench::banner("Live failures",
                 "delivered throughput vs time under in-simulation faults");
   const bool full = core::repro_full();

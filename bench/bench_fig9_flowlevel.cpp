@@ -3,6 +3,8 @@
 // 167 flows/s per active server. The packet-level bench_fig9 runs these
 // parameters only under REPRO_FULL=1 (hours); the fluid engine reproduces
 // the same crossover shape by default in minutes on one core.
+//
+// Takes no flags; any argument exits 2, naming it.
 #include <cstdio>
 
 #include "flowsim/flow_sim.hpp"
@@ -23,7 +25,7 @@ metrics::FctSummary run_fluid(const topo::Topology& t,
                               TimeNs tail) {
   int active_servers = 0;
   for (const auto r : pairs.active_racks()) {
-    active_servers += t.servers_per_switch[r];
+    active_servers += t.servers_per_switch()[r];
   }
   const double rate = rate_per_server * active_servers;
   const auto sizes = workload::pfabric_web_search();
@@ -40,7 +42,9 @@ metrics::FctSummary run_fluid(const topo::Topology& t,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_flags(argc, argv, "bench_fig9_flowlevel", {}, {},
+                     [](const std::string&, const std::string&) {});
   bench::banner("Fig 9 (flow-level engine, paper-scale topologies)",
                 "A2A(x), 167 flows/s/server at larger-than-packet-default scale");
 

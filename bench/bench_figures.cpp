@@ -1178,7 +1178,7 @@ void fluid_vs_models(const Driver& d, const std::vector<Series>& series,
                      int net_ports, const char* expected) {
   const topo::Topology& t = series[1].topo;
   const int tors = t.num_switches();
-  const int srv_ports = t.servers_per_switch[0];
+  const int srv_ports = t.servers_per_switch()[0];
   std::printf("topology: %d ToRs, %d network + %d server ports each\n\n",
               tors, net_ports, srv_ports);
 
@@ -1223,7 +1223,7 @@ void fig5a(const Driver& d) {
       d,
       {{"jellyfish",
         topo::jellyfish(sf.topo.num_switches(), net_ports,
-                        sf.topo.servers_per_switch[0], /*seed=*/1)},
+                        sf.topo.servers_per_switch()[0], /*seed=*/1)},
        {"slimfly", sf.topo}},
       net_ports, R"(
 Expected shape (paper): Jellyfish/SlimFly rise toward 1.0 as x

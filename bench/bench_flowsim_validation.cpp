@@ -3,6 +3,8 @@
 // headers, no slow start, no RTOs -- FCTs are optimistic -- but it must
 // preserve orderings (who wins) and rough factors; this bench quantifies
 // the gap and the speedup that justifies using it at paper scale.
+//
+// Takes no flags; any argument exits 2, naming it.
 #include <chrono>
 #include <cstdio>
 
@@ -61,7 +63,9 @@ Result run_fluid(const topo::Topology& t, flowsim::FlowRouting mode,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_flags(argc, argv, "bench_flowsim_validation", {}, {},
+                     [](const std::string&, const std::string&) {});
   bench::banner("Flow-level simulator validation",
                 "max-min fluid model vs packet-level DCTCP, same flow sets");
 
@@ -93,7 +97,7 @@ int main() {
     }
     int active_servers = 0;
     for (const auto r : pairs->active_racks()) {
-      active_servers += xp.servers_per_switch[r];
+      active_servers += xp.servers_per_switch()[r];
     }
     const double rate = 150.0 * active_servers;
     const int num_flows = static_cast<int>(

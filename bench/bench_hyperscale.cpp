@@ -1,6 +1,6 @@
-// Hyperscale throughput evaluation: CSR-native jellyfish construction and
-// cut/dual throughput brackets at 10k / 50k / 100k switches — scales no
-// adjacency-list path reaches.
+// Hyperscale throughput evaluation: jellyfish construction and cut/dual
+// throughput brackets at 10k / 50k / 100k switches, scales the GK solver
+// cannot reach.
 //
 // Takes no flags; any argument exits 2. The exit status is the gate
 // (ctest runs it as the `bench_hyperscale` case): 1 unless every bracket
@@ -32,12 +32,12 @@ constexpr Scale kScales[] = {{"10k", 10'000}, {"50k", 50'000},
 // The memory budget of the whole run; the 100k bracket sets its peak.
 constexpr double kRssBudgetMb = 2048.0;
 
-// One hyperscale scale point: CSR build, implicit all-to-all TmView, and
+// One hyperscale scale point: topology build, implicit all-to-all TmView, and
 // the throughput bracket, printed as one table row. Returns false unless
 // the bracket is ordered.
 bool run_scale(const Scale& s, TextTable* table) {
   const double t0 = bench::monotonic_ns();
-  const auto t = topo::jellyfish_csr(s.num_switches, kDegree, kServers, 1);
+  const auto t = topo::jellyfish(s.num_switches, kDegree, kServers, 1);
   const double build_ns = bench::monotonic_ns() - t0;
 
   const auto view = flow::all_to_all_view(t, t.tors());
@@ -63,7 +63,7 @@ bool run_scale(const Scale& s, TextTable* table) {
 // hyperscale TM to the GK materializer must refuse with structured
 // kInvalidInput, never attempt the 10^10-commodity allocation.
 bool check_cap_guard() {
-  const auto t = topo::jellyfish_csr(100'000, kDegree, kServers, 1);
+  const auto t = topo::jellyfish(100'000, kDegree, kServers, 1);
   const auto view = flow::all_to_all_view(t, t.tors());
   const auto refused =
       flow::build_mcf_instance(flow::build_throughput_cache(t), view);

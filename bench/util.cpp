@@ -302,7 +302,7 @@ core::PacketSimOptions default_packet_options(bool full) {
 int active_server_count(const topo::Topology& t,
                         const workload::PairDistribution& pairs) {
   int n = 0;
-  for (const auto r : pairs.active_racks()) n += t.servers_per_switch[r];
+  for (const auto r : pairs.active_racks()) n += t.servers_per_switch()[r];
   return n;
 }
 

@@ -1,5 +1,8 @@
 #include "fault/detector.hpp"
 
+#include <utility>
+#include <vector>
+
 #include "common/check.hpp"
 #include "graph/algorithms.hpp"
 
@@ -67,14 +70,13 @@ std::vector<char> GrayDetector::excludable(const LiveState& live) const {
 
 graph::Graph pruned_graph(const topo::Topology& t, const LiveState& live,
                           const std::vector<char>& excluded) {
-  graph::Graph pruned(t.g.num_nodes());
+  std::vector<graph::Edge> pruned;
   for (graph::EdgeId e = 0; e < t.g.num_edges(); ++e) {
     if (!live.edge_live(e)) continue;
     if (excluded[static_cast<std::size_t>(e)]) continue;
-    const auto& ed = t.g.edge(e);
-    pruned.add_edge(ed.a, ed.b);
+    pruned.push_back(t.g.edge(e));
   }
-  return pruned;
+  return graph::Graph(t.g.num_nodes(), std::move(pruned));
 }
 
 }  // namespace flexnets::fault

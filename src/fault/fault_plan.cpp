@@ -84,13 +84,14 @@ Status check_gray_params(const FaultEvent& e) {
 bool survivors_connected(const graph::Graph& g,
                          const std::vector<char>& dead_edge,
                          const std::vector<char>& dead_switch) {
-  graph::Graph live(g.num_nodes());
+  std::vector<graph::Edge> kept;
   for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
     const auto& ed = g.edge(e);
     if (!dead_edge[e] && !dead_switch[ed.a] && !dead_switch[ed.b]) {
-      live.add_edge(ed.a, ed.b);
+      kept.push_back(ed);
     }
   }
+  const graph::Graph live(g.num_nodes(), std::move(kept));
   graph::NodeId root = graph::kInvalidNode;
   for (graph::NodeId n = 0; n < g.num_nodes(); ++n) {
     if (!dead_switch[n]) {
@@ -178,7 +179,7 @@ FaultPlan FaultPlan::random(const topo::Topology& t,
   int switch_budget = opt.switch_failures;
   for (const auto n : switches) {
     if (switch_budget == 0) break;
-    if (!opt.allow_tor_failures && t.servers_per_switch[n] > 0) continue;
+    if (!opt.allow_tor_failures && t.servers_per_switch()[n] > 0) continue;
     dead_switch[n] = 1;
     if (opt.preserve_connectivity &&
         !survivors_connected(t.g, dead_edge, dead_switch)) {

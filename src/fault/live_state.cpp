@@ -1,5 +1,8 @@
 #include "fault/live_state.hpp"
 
+#include <utility>
+#include <vector>
+
 #include "common/check.hpp"
 
 namespace flexnets::fault {
@@ -63,14 +66,11 @@ bool LiveState::edge_live(graph::EdgeId e) const {
 
 graph::Graph LiveState::surviving_graph() const {
   FLEXNETS_CHECK(topo_ != nullptr, "LiveState used before initialization");
-  graph::Graph live(topo_->g.num_nodes());
+  std::vector<graph::Edge> live;
   for (graph::EdgeId e = 0; e < topo_->g.num_edges(); ++e) {
-    if (edge_live(e)) {
-      const auto& ed = topo_->g.edge(e);
-      live.add_edge(ed.a, ed.b);
-    }
+    if (edge_live(e)) live.push_back(topo_->g.edge(e));
   }
-  return live;
+  return graph::Graph(topo_->g.num_nodes(), std::move(live));
 }
 
 std::vector<graph::NodeId> LiveState::live_tors(

@@ -20,9 +20,9 @@ TrafficMatrix tm_from_pairs(
   tm.commodities.reserve(pairs.size() * 2);
   for (const auto& [a, b] : pairs) {
     tm.commodities.push_back(
-        {a, b, static_cast<double>(t.servers_per_switch[a])});
+        {a, b, static_cast<double>(t.servers_per_switch()[a])});
     tm.commodities.push_back(
-        {b, a, static_cast<double>(t.servers_per_switch[b])});
+        {b, a, static_cast<double>(t.servers_per_switch()[b])});
   }
   return tm;
 }

@@ -6,24 +6,25 @@
 
 #include "common/check.hpp"
 #include "graph/algorithms.hpp"
+#include "graph/spectral.hpp"
 #include "topo/csr/csr_algorithms.hpp"
 
 namespace flexnets::flow {
 
 namespace {
 
+using topo::NodeId;
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Sum of arc capacities leaving each switch.
-std::vector<double> incident_capacity(const topo::CsrTopology& t) {
-  std::vector<double> cap(static_cast<std::size_t>(t.num_switches), 0.0);
-  for (std::int32_t u = 0; u < t.num_switches; ++u) {
-    double acc = 0.0;
-    for (auto a = t.offsets[static_cast<std::size_t>(u)];
-         a < t.offsets[static_cast<std::size_t>(u) + 1]; ++a) {
-      acc += t.capacities[static_cast<std::size_t>(a)];
-    }
-    cap[static_cast<std::size_t>(u)] = acc;
+// Every link carries one unit of capacity per direction (the fluid
+// engine's convention), so capacities below are link counts.
+
+// Capacity leaving each switch: its degree.
+std::vector<double> incident_capacity(const topo::Topology& t) {
+  std::vector<double> cap(static_cast<std::size_t>(t.num_switches()), 0.0);
+  for (NodeId u = 0; u < t.num_switches(); ++u) {
+    cap[static_cast<std::size_t>(u)] = static_cast<double>(t.g.degree(u));
   }
   return cap;
 }
@@ -42,26 +43,20 @@ double node_cut_upper(const std::vector<double>& incident_cap,
   return best;
 }
 
-// Capacity of the directed arcs leaving the cut side. Capacities are
-// symmetric per link, so this also equals the reverse direction's capacity.
-double cut_capacity(const topo::CsrTopology& t,
+// Capacity of the directed arcs leaving the cut side: the links crossing
+// it, which also equals the reverse direction's capacity.
+double cut_capacity(const topo::Topology& t,
                     const std::vector<char>& in_side) {
-  double cap = 0.0;
-  for (std::int32_t u = 0; u < t.num_switches; ++u) {
-    if (in_side[static_cast<std::size_t>(u)] == 0) continue;
-    for (auto a = t.offsets[static_cast<std::size_t>(u)];
-         a < t.offsets[static_cast<std::size_t>(u) + 1]; ++a) {
-      if (in_side[static_cast<std::size_t>(
-              t.targets[static_cast<std::size_t>(a)])] == 0) {
-        cap += t.capacities[static_cast<std::size_t>(a)];
-      }
-    }
+  std::int64_t crossing = 0;
+  for (const auto& e : t.g.edges()) {
+    crossing += in_side[static_cast<std::size_t>(e.a)] !=
+                in_side[static_cast<std::size_t>(e.b)];
   }
-  return cap;
+  return static_cast<double>(crossing);
 }
 
 // lambda <= cut capacity / demand across, evaluated in both directions.
-double cut_upper(const topo::CsrTopology& t, const TmView& tm,
+double cut_upper(const topo::Topology& t, const TmView& tm,
                  const std::vector<char>& in_side) {
   const double cap = cut_capacity(t, in_side);
   double best = kInf;
@@ -79,10 +74,11 @@ double cut_upper(const topo::CsrTopology& t, const TmView& tm,
 // Cut candidates from an approximate Fiedler vector: the sign cut and a
 // balanced median cut. Any cut is sound; the spectral vector only steers
 // toward a sparse one.
-double spectral_cut_upper(const topo::CsrTopology& t, const TmView& tm,
+double spectral_cut_upper(const topo::Topology& t, const TmView& tm,
                           int power_iterations, std::uint64_t seed) {
-  const auto n = static_cast<std::size_t>(t.num_switches);
-  const auto spectral = topo::csr_second_eigenvector(t, power_iterations, seed);
+  const auto n = static_cast<std::size_t>(t.num_switches());
+  const auto spectral =
+      graph::second_eigenvector(t.g, power_iterations, seed);
   if (spectral.vec.empty()) return kInf;
 
   double best = kInf;
@@ -95,10 +91,10 @@ double spectral_cut_upper(const topo::CsrTopology& t, const TmView& tm,
   if (inside > 0 && inside < n) best = std::min(best, cut_upper(t, tm, side));
 
   // Median split: order by coordinate, lower half inside.
-  std::vector<std::int32_t> by_coord(n);
-  for (std::size_t v = 0; v < n; ++v) by_coord[v] = static_cast<std::int32_t>(v);
+  std::vector<NodeId> by_coord(n);
+  for (std::size_t v = 0; v < n; ++v) by_coord[v] = static_cast<NodeId>(v);
   std::sort(by_coord.begin(), by_coord.end(),
-            [&](std::int32_t a, std::int32_t b) {
+            [&](NodeId a, NodeId b) {
               const double xa = spectral.vec[static_cast<std::size_t>(a)];
               const double xb = spectral.vec[static_cast<std::size_t>(b)];
               return xa != xb ? xa < xb : a < b;
@@ -116,24 +112,23 @@ double spectral_cut_upper(const topo::CsrTopology& t, const TmView& tm,
 // (lowest id wins ties). Returns the BFS trees themselves; each pick's
 // tree is reused for the distance update, so root selection costs nothing
 // extra.
-std::vector<topo::CsrBfsTree> spread_trees(const topo::CsrTopology& t,
-                                           topo::CsrNodeId first,
-                                           int num_trees) {
-  const auto n = static_cast<std::size_t>(t.num_switches);
+std::vector<topo::CsrBfsTree> spread_trees(const topo::Topology& t,
+                                           NodeId first, int num_trees) {
+  const auto n = static_cast<std::size_t>(t.num_switches());
   std::vector<topo::CsrBfsTree> trees;
   std::vector<std::int64_t> min_dist(n, std::numeric_limits<std::int64_t>::max());
-  topo::CsrNodeId root = first;
+  NodeId root = first;
   for (int k = 0; k < num_trees; ++k) {
     trees.push_back(topo::csr_bfs_tree(t, root));
     const auto& depth = trees.back().depth;
-    topo::CsrNodeId farthest = root;
+    NodeId farthest = root;
     std::int64_t farthest_dist = -1;
     for (std::size_t v = 0; v < n; ++v) {
-      if (depth[v] == topo::kCsrUnreachable) continue;  // other component
+      if (depth[v] == graph::kUnreachable) continue;  // other component
       min_dist[v] = std::min(min_dist[v], static_cast<std::int64_t>(depth[v]));
       if (min_dist[v] > farthest_dist) {
         farthest_dist = min_dist[v];
-        farthest = static_cast<topo::CsrNodeId>(v);
+        farthest = static_cast<NodeId>(v);
       }
     }
     if (farthest_dist <= 0) break;  // every switch already is a root
@@ -152,19 +147,18 @@ struct TreeLoads {
 // demand split), onto the per-direction link loads. up_load/down_load are
 // per non-root node v: demand crossing the tree edge (v, parent(v)) in the
 // child->parent / parent->child direction.
-void accumulate_tree_loads(const topo::CsrTopology& t,
+void accumulate_tree_loads(const topo::Topology& t,
                            const topo::CsrBfsTree& tree,
                            const std::vector<double>& up_load,
                            const std::vector<double>& down_load, double scale,
                            TreeLoads& loads) {
   for (const auto v : tree.order) {
     const auto parent = tree.parent[static_cast<std::size_t>(v)];
-    if (parent == topo::kCsrUnreachable) continue;  // root
-    const auto arc = tree.parent_arc[static_cast<std::size_t>(v)];
-    const auto e = static_cast<std::size_t>(
-        t.arc_edge[static_cast<std::size_t>(arc)]);
-    // parent_arc runs parent -> v, i.e. the down direction.
-    const bool down_is_ab = t.edge_a[e] == parent;
+    if (parent == graph::kInvalidNode) continue;  // root
+    const auto e =
+        static_cast<std::size_t>(tree.parent_edge[static_cast<std::size_t>(v)]);
+    // parent -> v is the down direction.
+    const bool down_is_ab = t.g.edges()[e].a == parent;
     auto& down_slot = down_is_ab ? loads.ab[e] : loads.ba[e];
     auto& up_slot = down_is_ab ? loads.ba[e] : loads.ab[e];
     down_slot += down_load[static_cast<std::size_t>(v)] * scale;
@@ -178,14 +172,14 @@ void subtree_accumulate(const topo::CsrBfsTree& tree, std::vector<double>& x) {
   for (auto it = tree.order.rbegin(); it != tree.order.rend(); ++it) {
     const auto v = *it;
     const auto parent = tree.parent[static_cast<std::size_t>(v)];
-    if (parent != topo::kCsrUnreachable) {
+    if (parent != graph::kInvalidNode) {
       x[static_cast<std::size_t>(parent)] += x[static_cast<std::size_t>(v)];
     }
   }
 }
 
-topo::CsrNodeId lowest_common_ancestor(const topo::CsrBfsTree& tree,
-                                       topo::CsrNodeId a, topo::CsrNodeId b) {
+NodeId lowest_common_ancestor(const topo::CsrBfsTree& tree, NodeId a,
+                              NodeId b) {
   while (tree.depth[static_cast<std::size_t>(a)] >
          tree.depth[static_cast<std::size_t>(b)]) {
     a = tree.parent[static_cast<std::size_t>(a)];
@@ -203,9 +197,9 @@ topo::CsrNodeId lowest_common_ancestor(const topo::CsrBfsTree& tree,
 
 // Constructive lower bound: demand split 1/K over the K trees, each
 // commodity routed along its tree path; lambda = worst capacity/load.
-double tree_routing_lower(const topo::CsrTopology& t, const TmView& tm,
+double tree_routing_lower(const topo::Topology& t, const TmView& tm,
                           const std::vector<topo::CsrBfsTree>& trees) {
-  const auto n = static_cast<std::size_t>(t.num_switches);
+  const auto n = static_cast<std::size_t>(t.num_switches());
   const auto num_links = static_cast<std::size_t>(t.num_network_links());
   TreeLoads loads;
   loads.ab.assign(num_links, 0.0);
@@ -256,9 +250,8 @@ double tree_routing_lower(const topo::CsrTopology& t, const TmView& tm,
 
   double lambda = 1.0;  // hose clamp: the virtual NIC edges cap lambda at 1
   for (std::size_t e = 0; e < num_links; ++e) {
-    const double cap = t.edge_capacity[e];
-    if (loads.ab[e] > 0.0) lambda = std::min(lambda, cap / loads.ab[e]);
-    if (loads.ba[e] > 0.0) lambda = std::min(lambda, cap / loads.ba[e]);
+    if (loads.ab[e] > 0.0) lambda = std::min(lambda, 1.0 / loads.ab[e]);
+    if (loads.ba[e] > 0.0) lambda = std::min(lambda, 1.0 / loads.ba[e]);
   }
   return lambda;
 }
@@ -267,18 +260,17 @@ double tree_routing_lower(const topo::CsrTopology& t, const TmView& tm,
 // consumption (sum of demand * distance): Moore-ball mean distance for the
 // implicit all-to-all family, per-pair BFS-tree depth gaps for explicit
 // pairs (dist(s, t) >= |depth(s) - depth(t)| in any BFS tree).
-double path_length_upper(const topo::CsrTopology& t, const TmView& tm,
+double path_length_upper(const topo::Topology& t, const TmView& tm,
                          const std::vector<topo::CsrBfsTree>& trees) {
-  double total_cap = 0.0;
-  for (const double c : t.capacities) total_cap += c;
+  const double total_cap = 2.0 * static_cast<double>(t.num_network_links());
 
   double min_consumption = 0.0;
   if (tm.family() == TmView::Family::kAllToAll) {
     const auto m = static_cast<int>(tm.active().size());
     if (m < 2) return kInf;
-    std::int32_t max_degree = 1;
-    for (std::int32_t u = 0; u < t.num_switches; ++u) {
-      max_degree = std::max(max_degree, t.degree(u));
+    int max_degree = 1;
+    for (NodeId u = 0; u < t.num_switches(); ++u) {
+      max_degree = std::max(max_degree, t.g.degree(u));
     }
     const double mean_dist =
         graph::moore_bound_mean_distance_subset(m, max_degree);
@@ -289,7 +281,7 @@ double path_length_upper(const topo::CsrTopology& t, const TmView& tm,
       for (const auto& tree : trees) {
         const auto ds = tree.depth[static_cast<std::size_t>(c.src_tor)];
         const auto dt = tree.depth[static_cast<std::size_t>(c.dst_tor)];
-        if (ds == topo::kCsrUnreachable || dt == topo::kCsrUnreachable) {
+        if (ds == graph::kUnreachable || dt == graph::kUnreachable) {
           continue;
         }
         dist_lb = std::max(dist_lb, static_cast<double>(ds > dt ? ds - dt
@@ -302,7 +294,7 @@ double path_length_upper(const topo::CsrTopology& t, const TmView& tm,
 }
 
 // First switch with demand — the seed for tree-root selection.
-topo::CsrNodeId first_demand_switch(const TmView& tm) {
+NodeId first_demand_switch(const TmView& tm) {
   if (tm.family() == TmView::Family::kAllToAll) {
     return tm.active().empty() ? 0 : tm.active().front();
   }
@@ -310,16 +302,8 @@ topo::CsrNodeId first_demand_switch(const TmView& tm) {
 }
 
 // True if any commodity's endpoints sit in different connected components.
-bool demand_crosses_components(const topo::CsrTopology& t, const TmView& tm) {
-  // Component labels by repeated BFS (flat, O(V + E) total).
-  std::vector<std::int32_t> comp(static_cast<std::size_t>(t.num_switches), -1);
-  std::int32_t labels = 0;
-  for (std::int32_t root = 0; root < t.num_switches; ++root) {
-    if (comp[static_cast<std::size_t>(root)] != -1) continue;
-    const auto tree = topo::csr_bfs_tree(t, root);
-    for (const auto v : tree.order) comp[static_cast<std::size_t>(v)] = labels;
-    ++labels;
-  }
+bool demand_crosses_components(const topo::Topology& t, const TmView& tm) {
+  const auto comp = graph::connected_components(t.g).id;
   if (tm.family() == TmView::Family::kAllToAll) {
     const auto& active = tm.active();
     for (std::size_t i = 1; i < active.size(); ++i) {
@@ -341,13 +325,13 @@ bool demand_crosses_components(const topo::CsrTopology& t, const TmView& tm) {
 
 }  // namespace
 
-ThroughputBracket throughput_bracket(const topo::CsrTopology& t,
+ThroughputBracket throughput_bracket(const topo::Topology& t,
                                      const TmView& tm,
                                      const BracketOptions& opts) {
   ThroughputBracket out;
-  if (t.num_switches == 0 || tm.empty()) return out;  // [0, 0], like GK
+  if (t.num_switches() == 0 || tm.empty()) return out;  // [0, 0], like GK
 
-  const bool connected = topo::csr_is_connected(t);
+  const bool connected = graph::is_connected(t.g);
   if (!connected && demand_crosses_components(t, tm)) {
     // Exact answer: nothing can cross a void.
     out.upper = 0.0;
@@ -360,11 +344,11 @@ ThroughputBracket throughput_bracket(const topo::CsrTopology& t,
   }
 
   const auto incident_cap = incident_capacity(t);
-  const auto out_d = tm.hose_out_demand(t.num_switches);
-  const auto in_d = tm.hose_in_demand(t.num_switches);
+  const auto out_d = tm.hose_out_demand(t.num_switches());
+  const auto in_d = tm.hose_in_demand(t.num_switches());
 
   const int num_trees =
-      std::max(1, std::min(opts.num_trees, t.num_switches));
+      std::max(1, std::min(opts.num_trees, t.num_switches()));
   const auto trees = spread_trees(t, first_demand_switch(tm), num_trees);
 
   out.upper_node_cut =

@@ -1,6 +1,6 @@
 // Cheap throughput brackets for hyperscale instances: upper and lower
 // bounds on the max concurrent-flow fraction lambda, computed in
-// O(trees * (V + E)) on the flat CSR representation — no FPTAS solve, no
+// O(trees * (V + E)) over the graph's flat adjacency — no FPTAS solve, no
 // materialized commodities. The intended use is bracketing instances far
 // beyond GK's reach (100k switches) and pre-screening sweeps: when the
 // bracket is tight enough, the solve is skipped entirely
@@ -29,7 +29,7 @@
 
 #include "common/status.hpp"
 #include "flow/tm_view.hpp"
-#include "topo/csr/csr_topology.hpp"
+#include "topo/topology.hpp"
 
 namespace flexnets::flow {
 
@@ -56,7 +56,7 @@ struct ThroughputBracket {
 
 // Bounds lambda for `tm` on `t`. An empty TM brackets to [0, 0] like the
 // solver's lambda convention.
-ThroughputBracket throughput_bracket(const topo::CsrTopology& t,
+ThroughputBracket throughput_bracket(const topo::Topology& t,
                                      const TmView& tm,
                                      const BracketOptions& opts = {});
 

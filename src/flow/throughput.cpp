@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "common/check.hpp"
-#include "common/digest.hpp"
 
 namespace flexnets::flow {
 
@@ -24,14 +23,19 @@ ThroughputResult to_throughput(const McfResult& r) {
           std::clamp(r.lambda_upper, 0.0, 1.0), r.status};
 }
 
-std::uint64_t topology_digest(const topo::Topology& t) {
-  Digest d;
-  d.mix(static_cast<std::uint64_t>(t.num_switches()));
-  for (const auto& e : t.g.edges()) {
-    d.mix(static_cast<std::uint64_t>(e.a));
-    d.mix(static_cast<std::uint64_t>(e.b));
-  }
-  return d.value();
+// Stale-handoff audit: the cache must describe exactly the topology this
+// evaluation runs on. Catches a sweep wiring the wrong topology's cache
+// into a point.
+void audit_cache_handoff(const topo::Topology& t,
+                         const ThroughputCache& cache) {
+  if (!audit_enabled()) return;
+  FLEXNETS_CHECK_EQ(cache.num_switches, t.num_switches(),
+                    "throughput cache built for a different topology");
+  FLEXNETS_CHECK_EQ(cache.base_edges.size(),
+                    static_cast<std::size_t>(t.g.num_edges()) * 2,
+                    "throughput cache edge count mismatch");
+  FLEXNETS_CHECK_EQ(cache.topo_digest, t.digest(),
+                    "throughput cache digest mismatch (stale handoff)");
 }
 
 }  // namespace
@@ -43,18 +47,6 @@ ThroughputCache build_throughput_cache(const topo::Topology& t) {
   for (const auto& e : t.g.edges()) {
     cache.base_edges.push_back({e.a, e.b, 1.0});
     cache.base_edges.push_back({e.b, e.a, 1.0});
-  }
-  cache.topo_digest = topology_digest(t);
-  return cache;
-}
-
-ThroughputCache build_throughput_cache(const topo::CsrTopology& t) {
-  ThroughputCache cache;
-  cache.num_switches = t.num_switches;
-  cache.base_edges.reserve(t.edge_a.size() * 2);
-  for (std::size_t i = 0; i < t.edge_a.size(); ++i) {
-    cache.base_edges.push_back({t.edge_a[i], t.edge_b[i], t.edge_capacity[i]});
-    cache.base_edges.push_back({t.edge_b[i], t.edge_a[i], t.edge_capacity[i]});
   }
   cache.topo_digest = t.digest();
   return cache;
@@ -166,18 +158,7 @@ ThroughputResult throughput_impl(const topo::Topology& t,
                                  const TrafficMatrix& tm,
                                  const ThroughputOptions& opts,
                                  const ThroughputCache& cache) {
-  if (audit_enabled()) {
-    // Stale-handoff audit: the cache must describe exactly the topology
-    // this evaluation runs on. Catches a sweep wiring the wrong (or a
-    // since-mutated) topology's cache into a point.
-    FLEXNETS_CHECK_EQ(cache.num_switches, t.num_switches(),
-                      "throughput cache built for a different topology");
-    FLEXNETS_CHECK_EQ(cache.base_edges.size(),
-                      static_cast<std::size_t>(t.g.num_edges()) * 2,
-                      "throughput cache edge count mismatch");
-    FLEXNETS_CHECK_EQ(cache.topo_digest, topology_digest(t),
-                      "throughput cache digest mismatch (stale handoff)");
-  }
+  audit_cache_handoff(t, cache);
   if (tm.commodities.empty()) return {};
 
   const auto inst = build_mcf_instance(cache, tm);
@@ -193,18 +174,10 @@ double per_server_throughput(const topo::Topology& t, const TrafficMatrix& tm,
 }
 
 ThroughputResult per_server_throughput_budgeted(
-    const topo::CsrTopology& t, const TmView& tm,
+    const topo::Topology& t, const TmView& tm,
     const ThroughputOptions& opts, const ThroughputCache& cache,
     std::int64_t max_commodities) {
-  if (audit_enabled()) {
-    // Same stale-handoff audit as the oracle path, against the CSR digest.
-    FLEXNETS_CHECK_EQ(cache.num_switches, t.num_switches,
-                      "throughput cache built for a different topology");
-    FLEXNETS_CHECK_EQ(cache.base_edges.size(), t.edge_a.size() * 2,
-                      "throughput cache edge count mismatch");
-    FLEXNETS_CHECK_EQ(cache.topo_digest, t.digest(),
-                      "throughput cache digest mismatch (stale handoff)");
-  }
+  audit_cache_handoff(t, cache);
   if (tm.empty()) return {};
 
   auto inst = build_mcf_instance(cache, tm, max_commodities);
@@ -214,7 +187,7 @@ ThroughputResult per_server_throughput_budgeted(
                                            opts.limits));
 }
 
-double per_server_throughput(const topo::CsrTopology& t, const TmView& tm,
+double per_server_throughput(const topo::Topology& t, const TmView& tm,
                              const ThroughputOptions& opts) {
   return per_server_throughput_budgeted(t, tm, opts,
                                         build_throughput_cache(t))

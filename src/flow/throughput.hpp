@@ -17,7 +17,6 @@
 #include "flow/mcf.hpp"
 #include "flow/tm_view.hpp"
 #include "flow/traffic_matrix.hpp"
-#include "topo/csr/csr_topology.hpp"
 #include "topo/topology.hpp"
 
 namespace flexnets::flow {
@@ -47,9 +46,10 @@ struct ThroughputResult {
 // directed-edge list every GK instance starts from. Built once, then only
 // read — each evaluation copies it and appends its own virtual hose nodes,
 // so concurrent sweep points never share mutable state. `topo_digest`
-// fingerprints the topology it was built from; under FLEXNETS_AUDIT every
-// handoff is verified against the topology actually being evaluated, so a
-// sweep cannot silently reuse a cache across mismatched topologies.
+// (Topology::digest) fingerprints the topology it was built from; under
+// FLEXNETS_AUDIT every handoff is verified against the topology actually
+// being evaluated, so a sweep cannot silently reuse a cache across
+// mismatched topologies.
 struct ThroughputCache {
   int num_switches FLEXNETS_SHARED_READONLY = 0;
   std::vector<DirectedEdge> base_edges FLEXNETS_SHARED_READONLY;
@@ -57,11 +57,6 @@ struct ThroughputCache {
 };
 
 ThroughputCache build_throughput_cache(const topo::Topology& t);
-
-// Flat-representation builder: identical cache for a CSR twin of the same
-// topology (same edge order, same digest), so lambda through either
-// representation is bit-identical.
-ThroughputCache build_throughput_cache(const topo::CsrTopology& t);
 
 // The concrete GK instance a (topology, TM) evaluation solves: the cache's
 // doubled directed edges plus one virtual hose node per rack with demand.
@@ -105,18 +100,17 @@ ThroughputResult per_server_throughput_budgeted(const topo::Topology& t,
                                                 const ThroughputOptions& opts,
                                                 const ThroughputCache& cache);
 
-// ---- Hyperscale (CSR + streaming TM) entries --------------------------
+// ---- Streaming-TM entries ----------------------------------------------
 //
-// The flat-path twins of the entries above: same GK instance bit for bit
-// when the CSR topology and TmView mirror a (Topology, TrafficMatrix)
-// pair. lambda is 0.0 and status kInvalidInput when the commodity cap
-// refuses the materialization.
+// The same GK instance bit for bit when the TmView streams a
+// TrafficMatrix's commodities. lambda is 0.0 and status kInvalidInput when
+// the commodity cap refuses the materialization.
 
-double per_server_throughput(const topo::CsrTopology& t, const TmView& tm,
+double per_server_throughput(const topo::Topology& t, const TmView& tm,
                              const ThroughputOptions& opts = {});
 
 ThroughputResult per_server_throughput_budgeted(
-    const topo::CsrTopology& t, const TmView& tm,
+    const topo::Topology& t, const TmView& tm,
     const ThroughputOptions& opts, const ThroughputCache& cache,
     std::int64_t max_commodities = kDefaultMcfCommodityCap);
 

@@ -1,7 +1,6 @@
 #include "flow/tm_generators.hpp"
 
-#include <cassert>
-
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/matching.hpp"
@@ -11,7 +10,7 @@ namespace flexnets::flow {
 namespace {
 
 double rack_demand(const topo::Topology& t, topo::NodeId tor) {
-  return static_cast<double>(t.servers_per_switch[tor]);
+  return static_cast<double>(t.servers_per_switch()[tor]);
 }
 
 }  // namespace
@@ -19,7 +18,8 @@ double rack_demand(const topo::Topology& t, topo::NodeId tor) {
 std::vector<topo::NodeId> pick_active_racks(const topo::Topology& t, int count,
                                             std::uint64_t seed) {
   auto tors = t.tors();
-  assert(count >= 0 && count <= static_cast<int>(tors.size()));
+  FLEXNETS_CHECK(count >= 0 && count <= static_cast<int>(tors.size()),
+                 "active rack count out of range");
   Rng rng(splitmix64(seed ^ 0xac71feULL));
   rng.shuffle(tors);
   tors.resize(static_cast<std::size_t>(count));

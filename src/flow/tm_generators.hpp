@@ -10,7 +10,8 @@
 namespace flexnets::flow {
 
 // Picks `count` active racks out of the topology's ToRs, uniformly at
-// random (deterministic in seed).
+// random (deterministic in seed). `count` must lie in [0, #ToRs]
+// (FLEXNETS_CHECK).
 std::vector<topo::NodeId> pick_active_racks(const topo::Topology& t, int count,
                                             std::uint64_t seed);
 

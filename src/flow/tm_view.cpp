@@ -3,13 +3,10 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
-#include "graph/matching.hpp"
-#include "topo/csr/csr_algorithms.hpp"
 
 namespace flexnets::flow {
 
-TmView TmView::all_to_all(std::vector<topo::CsrNodeId> active,
+TmView TmView::all_to_all(std::vector<topo::NodeId> active,
                           std::vector<double> rack_demand) {
   FLEXNETS_CHECK_EQ(active.size(), rack_demand.size(),
                     "all-to-all view: one demand per active rack");
@@ -54,7 +51,7 @@ double TmView::total_demand() const {
   return sum;
 }
 
-std::vector<double> TmView::hose_out_demand(std::int32_t num_switches) const {
+std::vector<double> TmView::hose_out_demand(int num_switches) const {
   std::vector<double> out(static_cast<std::size_t>(num_switches), 0.0);
   if (family_ == Family::kAllToAll) {
     if (active_.size() < 2) return out;
@@ -70,7 +67,7 @@ std::vector<double> TmView::hose_out_demand(std::int32_t num_switches) const {
   return out;
 }
 
-std::vector<double> TmView::hose_in_demand(std::int32_t num_switches) const {
+std::vector<double> TmView::hose_in_demand(int num_switches) const {
   std::vector<double> in(static_cast<std::size_t>(num_switches), 0.0);
   if (family_ == Family::kAllToAll) {
     const auto m = active_.size();
@@ -119,87 +116,14 @@ double TmView::demand_across(const std::vector<char>& in_side) const {
   return sum;
 }
 
-namespace {
-
-double csr_rack_demand(const topo::CsrTopology& t, topo::CsrNodeId tor) {
-  return static_cast<double>(
-      t.servers_per_switch[static_cast<std::size_t>(tor)]);
-}
-
-}  // namespace
-
-std::vector<topo::CsrNodeId> pick_active_racks_csr(const topo::CsrTopology& t,
-                                                   int count,
-                                                   std::uint64_t seed) {
-  auto tors = t.tors();
-  FLEXNETS_CHECK(count >= 0 && count <= static_cast<int>(tors.size()),
-                 "active rack count out of range");
-  Rng rng(splitmix64(seed ^ 0xac71feULL));
-  rng.shuffle(tors);
-  tors.resize(static_cast<std::size_t>(count));
-  return tors;
-}
-
-TmView all_to_all_view(const topo::CsrTopology& t,
-                       const std::vector<topo::CsrNodeId>& active) {
+TmView all_to_all_view(const topo::Topology& t,
+                       const std::vector<topo::NodeId>& active) {
   std::vector<double> demand;
   demand.reserve(active.size());
-  for (const auto tor : active) demand.push_back(csr_rack_demand(t, tor));
+  for (const auto tor : active) {
+    demand.push_back(static_cast<double>(t.servers_per_switch()[tor]));
+  }
   return TmView::all_to_all(active, std::move(demand));
-}
-
-TmView random_permutation_view(const topo::CsrTopology& t,
-                               const std::vector<topo::CsrNodeId>& active,
-                               std::uint64_t seed) {
-  const auto m = active.size();
-  if (m < 2) return TmView::explicit_pairs({});
-  Rng rng(splitmix64(seed ^ 0x9e2aULL));
-  // Random cyclic shift of a shuffle: guarantees a derangement (no rack
-  // sends to itself) while staying a uniform-ish permutation TM. Same RNG
-  // tag and draw order as random_permutation_tm.
-  std::vector<std::size_t> order(m);
-  for (std::size_t i = 0; i < m; ++i) order[i] = i;
-  rng.shuffle(order);
-  std::vector<Commodity> commodities;
-  commodities.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto src = active[order[i]];
-    const auto dst = active[order[(i + 1) % m]];
-    commodities.push_back({src, dst, csr_rack_demand(t, src)});
-  }
-  return TmView::explicit_pairs(std::move(commodities));
-}
-
-TmView longest_matching_view(const topo::CsrTopology& t,
-                             const std::vector<topo::CsrNodeId>& active) {
-  const int m = static_cast<int>(active.size());
-  // Pairwise BFS distances between active racks; same weight convention as
-  // longest_matching_tm (0 keeps unreachable pairs out of the matching).
-  std::vector<std::vector<double>> w(static_cast<std::size_t>(m),
-                                     std::vector<double>(m, 0.0));
-  for (int i = 0; i < m; ++i) {
-    const auto dist = topo::csr_bfs_distances(t, active[static_cast<std::size_t>(i)]);
-    for (int j = 0; j < m; ++j) {
-      const auto d = dist[static_cast<std::size_t>(
-          active[static_cast<std::size_t>(j)])];
-      w[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          d == topo::kCsrUnreachable ? 0.0 : static_cast<double>(d);
-    }
-  }
-  const auto pairs = graph::greedy_max_weight_matching(m, w);
-
-  std::vector<Commodity> commodities;
-  commodities.reserve(pairs.size() * 2);
-  for (const auto& [i, j] : pairs) {
-    if (w[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] <= 0.0) {
-      continue;  // unreachable (or same-rack) pair matched as filler
-    }
-    const auto a = active[static_cast<std::size_t>(i)];
-    const auto b = active[static_cast<std::size_t>(j)];
-    commodities.push_back({a, b, csr_rack_demand(t, a)});
-    commodities.push_back({b, a, csr_rack_demand(t, b)});
-  }
-  return TmView::explicit_pairs(std::move(commodities));
 }
 
 }  // namespace flexnets::flow

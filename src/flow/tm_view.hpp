@@ -6,7 +6,8 @@
 // that list). TmView is the enumerate-on-demand replacement: the all-to-all
 // family stores only the active racks and their demands and generates
 // ordered pairs on the fly; O(m) families (permutation, longest-matching,
-// many-to-one) stay as explicit lists. Consumers either stream commodities
+// many-to-one) stay explicit lists, wrapped from their flow/tm_generators
+// builders by from_traffic_matrix. Consumers either stream commodities
 // (for_each — exactly the materialized generator's enumeration order, so
 // GK lambda through a TmView is bit-identical to the TrafficMatrix path)
 // or use the closed-form aggregates (hose demands, demand across a cut)
@@ -16,8 +17,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "flow/tm_generators.hpp"
 #include "flow/traffic_matrix.hpp"
-#include "topo/csr/csr_topology.hpp"
+#include "topo/jellyfish.hpp"
+#include "topo/topology.hpp"
 
 namespace flexnets::flow {
 
@@ -31,13 +34,13 @@ class TmView {
   // All-to-all among `active` racks: ordered pair (i, j) carries
   // rack_demand[i] / (m - 1), matching all_to_all_tm. Fewer than two
   // active racks yields an empty view (same as the materialized builder).
-  static TmView all_to_all(std::vector<topo::CsrNodeId> active,
+  static TmView all_to_all(std::vector<topo::NodeId> active,
                            std::vector<double> rack_demand);
 
   // Wraps an explicit commodity list (demands > 0, src != dst per rack).
   static TmView explicit_pairs(std::vector<Commodity> commodities);
 
-  // Adapter for differential tests: wraps an already materialized TM.
+  // Wraps an already materialized TM (the explicit families).
   static TmView from_traffic_matrix(const TrafficMatrix& tm);
 
   [[nodiscard]] Family family() const { return family_; }
@@ -78,16 +81,15 @@ class TmView {
   // Hose demands per switch: the sum of demands leaving / entering each
   // rack (zero for inactive switches). Size num_switches.
   [[nodiscard]] std::vector<double> hose_out_demand(
-      std::int32_t num_switches) const;
-  [[nodiscard]] std::vector<double> hose_in_demand(
-      std::int32_t num_switches) const;
+      int num_switches) const;
+  [[nodiscard]] std::vector<double> hose_in_demand(int num_switches) const;
 
   // Total demand of commodities with src inside the cut side (in_side[sw]
   // != 0) and dst outside — the denominator of a cut upper bound.
   [[nodiscard]] double demand_across(const std::vector<char>& in_side) const;
 
   // Family internals, for bounds code that aggregates per rack.
-  [[nodiscard]] const std::vector<topo::CsrNodeId>& active() const {
+  [[nodiscard]] const std::vector<topo::NodeId>& active() const {
     return active_;
   }
   [[nodiscard]] const std::vector<double>& rack_demands() const {
@@ -101,31 +103,32 @@ class TmView {
   TmView() = default;
 
   Family family_ = Family::kExplicit;
-  std::vector<topo::CsrNodeId> active_;   // kAllToAll
-  std::vector<double> rack_demand_;       // kAllToAll, parallel to active_
-  std::vector<Commodity> commodities_;    // kExplicit
+  std::vector<topo::NodeId> active_;    // kAllToAll
+  std::vector<double> rack_demand_;     // kAllToAll, parallel to active_
+  std::vector<Commodity> commodities_;  // kExplicit
 };
 
-// ---- CSR-native generators -------------------------------------------
-//
-// These mirror flow/tm_generators.hpp rack for rack: identical seeds over
-// a CSR twin of a topology select identical active racks and identical
-// commodity streams (same RNG tags, same shuffle order), which is what
-// makes the differential lambda tests bit-exact.
+// The implicit all-to-all among `active` racks of `t`, each rack's demand
+// its server count: streams exactly all_to_all_tm(t, active).
+TmView all_to_all_view(const topo::Topology& t,
+                       const std::vector<topo::NodeId>& active);
 
-std::vector<topo::CsrNodeId> pick_active_racks_csr(const topo::CsrTopology& t,
-                                                   int count,
-                                                   std::uint64_t seed);
+}  // namespace flexnets::flow
 
-TmView all_to_all_view(const topo::CsrTopology& t,
-                       const std::vector<topo::CsrNodeId>& active);
-
-TmView random_permutation_view(const topo::CsrTopology& t,
-                               const std::vector<topo::CsrNodeId>& active,
-                               std::uint64_t seed);
-
-// O(m²) weight matrix — small-scale only, like the materialized builder.
-TmView longest_matching_view(const topo::CsrTopology& t,
-                             const std::vector<topo::CsrNodeId>& active);
-
+// ---- Kept because perfbench/ calls it ------------------------------------
+// The benchmark was written against a separate flat topology type with its
+// own generator and rack picker. These names now denote the one Topology
+// and the plain functions; the next benchmark change retires them.
+namespace flexnets::topo {
+using CsrTopology = Topology;
+inline Topology jellyfish_csr(int num_switches, int network_degree,
+                              int servers_per_switch, std::uint64_t seed) {
+  return jellyfish(num_switches, network_degree, servers_per_switch, seed);
+}
+}  // namespace flexnets::topo
+namespace flexnets::flow {
+inline std::vector<topo::NodeId> pick_active_racks_csr(
+    const topo::Topology& t, int count, std::uint64_t seed) {
+  return pick_active_racks(t, count, seed);
+}
 }  // namespace flexnets::flow

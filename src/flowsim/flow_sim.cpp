@@ -41,7 +41,7 @@ FlowLevelSimulator::FlowLevelSimulator(const topo::Topology& topo,
 
   tor_of_server_.reserve(static_cast<std::size_t>(servers));
   for (topo::NodeId sw = 0; sw < s; ++sw) {
-    for (int i = 0; i < topo_.servers_per_switch[sw]; ++i) {
+    for (int i = 0; i < topo_.servers_per_switch()[sw]; ++i) {
       tor_of_server_.push_back(sw);
     }
   }

@@ -2,24 +2,22 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <queue>
 
 namespace flexnets::graph {
 
 std::vector<int> bfs_distances(const Graph& g, NodeId src) {
   std::vector<int> dist(static_cast<std::size_t>(g.num_nodes()), kUnreachable);
-  std::queue<NodeId> q;
+  std::vector<NodeId> queue;
+  queue.reserve(dist.size());
   dist[src] = 0;
-  q.push(src);
-  while (!q.empty()) {
-    const NodeId u = q.front();
-    q.pop();
-    for (EdgeId e : g.incident(u)) {
-      const NodeId v = g.edge(e).other(u);
+  queue.push_back(src);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
+    for (const NodeId v : g.neighbors(u)) {
       if (dist[v] == kUnreachable) {
         dist[v] = dist[u] + 1;
-        q.push(v);
+        queue.push_back(v);
       }
     }
   }
@@ -52,8 +50,7 @@ Components connected_components(const Graph& g) {
     while (!q.empty()) {
       const NodeId u = q.front();
       q.pop();
-      for (EdgeId e : g.incident(u)) {
-        const NodeId v = g.edge(e).other(u);
+      for (const NodeId v : g.neighbors(u)) {
         if (c.id[v] == -1) {
           c.id[v] = label;
           q.push(v);
@@ -97,8 +94,7 @@ std::vector<std::vector<NodeId>> ecmp_next_hops_to(const Graph& g, NodeId dst) {
   std::vector<std::vector<NodeId>> next(static_cast<std::size_t>(g.num_nodes()));
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     if (u == dst || dist[u] == kUnreachable) continue;
-    for (EdgeId e : g.incident(u)) {
-      const NodeId v = g.edge(e).other(u);
+    for (const NodeId v : g.neighbors(u)) {
       if (dist[v] == dist[u] - 1) next[u].push_back(v);
     }
     // Deterministic order independent of edge insertion order.
@@ -106,39 +102,6 @@ std::vector<std::vector<NodeId>> ecmp_next_hops_to(const Graph& g, NodeId dst) {
     next[u].erase(std::unique(next[u].begin(), next[u].end()), next[u].end());
   }
   return next;
-}
-
-DijkstraResult dijkstra(const Graph& g, NodeId src,
-                        const std::vector<double>& edge_length) {
-  assert(edge_length.size() == static_cast<std::size_t>(g.num_edges()));
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  DijkstraResult r;
-  r.dist.assign(static_cast<std::size_t>(g.num_nodes()), kInf);
-  r.parent_edge.assign(static_cast<std::size_t>(g.num_nodes()), -1);
-  r.parent_node.assign(static_cast<std::size_t>(g.num_nodes()), kInvalidNode);
-
-  using Item = std::pair<double, NodeId>;
-  // Cold path: runs once per routing-table (re)build, not inside a solver
-  // loop; the GK hot path uses flow::internal::DaryDijkstra instead.
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;  // flexnets-lint: allow(priority-queue) -- table-build frequency, not a hot path
-  r.dist[src] = 0.0;
-  pq.push({0.0, src});
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d > r.dist[u]) continue;
-    for (EdgeId e : g.incident(u)) {
-      const NodeId v = g.edge(e).other(u);
-      const double nd = d + edge_length[e];
-      if (nd < r.dist[v]) {
-        r.dist[v] = nd;
-        r.parent_edge[v] = e;
-        r.parent_node[v] = u;
-        pq.push({nd, v});
-      }
-    }
-  }
-  return r;
 }
 
 double moore_bound_mean_distance(int n, int d) {

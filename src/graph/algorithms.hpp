@@ -38,17 +38,6 @@ double mean_distance(const Graph& g);
 // ECMP next-hop set. next_hops[dst] = {} by convention.
 std::vector<std::vector<NodeId>> ecmp_next_hops_to(const Graph& g, NodeId dst);
 
-// Dijkstra over per-edge lengths (same indexing as g.edges()); used by the
-// Garg-Koenemann oracle. Returns (dist, parent-edge) pairs; parent edge id is
-// -1 at src/unreachable nodes.
-struct DijkstraResult {
-  std::vector<double> dist;
-  std::vector<EdgeId> parent_edge;
-  std::vector<NodeId> parent_node;
-};
-DijkstraResult dijkstra(const Graph& g, NodeId src,
-                        const std::vector<double>& edge_length);
-
 // Moore-bound lower bound on the mean shortest-path distance of ANY
 // d-regular graph with n nodes (used for the restricted-dynamic-network
 // throughput upper bound, paper section 4.1/5).

@@ -1,19 +1,23 @@
 #include "graph/spectral.hpp"
 
 #include <cmath>
+#include <utility>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace flexnets::graph {
 
 namespace {
 
-// y = A x for the adjacency matrix of g.
+// y = A x for the adjacency matrix of g. Each y[u] sums its neighbors in
+// incident (edge-id) order.
 void adj_multiply(const Graph& g, const std::vector<double>& x,
                   std::vector<double>& y) {
-  std::fill(y.begin(), y.end(), 0.0);
-  for (const Edge& e : g.edges()) {
-    y[e.a] += x[e.b];
-    y[e.b] += x[e.a];
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    double acc = 0.0;
+    for (const NodeId v : g.neighbors(u)) acc += x[v];
+    y[u] = acc;
   }
 }
 
@@ -32,9 +36,10 @@ double norm(const std::vector<double>& x) {
 
 }  // namespace
 
-double second_eigenvalue(const Graph& g, int iters, std::uint64_t seed) {
+SecondEigen second_eigenvector(const Graph& g, int iters, std::uint64_t seed) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
-  if (n < 2) return 0.0;
+  SecondEigen out;
+  if (n < 2) return out;
   Rng rng(seed);
   std::vector<double> x(n), y(n);
   for (double& v : x) v = rng.next_double() - 0.5;
@@ -45,13 +50,19 @@ double second_eigenvalue(const Graph& g, int iters, std::uint64_t seed) {
     adj_multiply(g, x, y);
     remove_mean(y);  // stay orthogonal to the all-ones vector
     const double ny = norm(y);
-    if (ny == 0.0) return 0.0;
+    if (ny == 0.0) return out;
     lambda = ny / (norm(x) > 0 ? norm(x) : 1.0);
     for (std::size_t i = 0; i < n; ++i) x[i] = y[i] / ny;
   }
   // Power iteration on A (not A^2) can oscillate when the dominant
   // orthogonal eigenvalue is negative; |lambda| is still the magnitude.
-  return std::abs(lambda);
+  out.lambda = std::abs(lambda);
+  out.vec = std::move(x);
+  return out;
+}
+
+double second_eigenvalue(const Graph& g, int iters, std::uint64_t seed) {
+  return second_eigenvector(g, iters, seed).lambda;
 }
 
 double ramanujan_bound(int d) { return 2.0 * std::sqrt(static_cast<double>(d - 1)); }

@@ -50,7 +50,7 @@ PacketNetwork::PacketNetwork(const topo::Topology& topo,
   tor_of_server_.reserve(static_cast<std::size_t>(num_hosts_));
   int server = 0;
   for (graph::NodeId sw = 0; sw < num_switches_; ++sw) {
-    for (int i = 0; i < topo_.servers_per_switch[sw]; ++i, ++server) {
+    for (int i = 0; i < topo_.servers_per_switch()[sw]; ++i, ++server) {
       const std::int32_t host = host_node(server);
       add_link(host, sw, cfg_.server_link);
       add_link(sw, host, cfg_.server_link);
@@ -413,7 +413,7 @@ void PacketNetwork::sync_links_of_switch(graph::NodeId sw) {
   const bool up = live_.switch_up(sw);
   const std::int32_t base = 2 * topo_.g.num_edges();
   const int first = topo_.first_server_of_switch(sw);
-  for (int s = first; s < first + topo_.servers_per_switch[sw]; ++s) {
+  for (int s = first; s < first + topo_.servers_per_switch()[sw]; ++s) {
     for (const auto id : {base + 2 * s, base + 2 * s + 1}) {
       Link& l = *links_[static_cast<std::size_t>(id)];
       if (up && !l.is_up()) {

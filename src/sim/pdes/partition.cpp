@@ -93,7 +93,7 @@ Partition partition_topology(const topo::Topology& topo, int num_lps,
   // Hosts are co-located with their ToR so access links stay LP-internal.
   int server = 0;
   for (graph::NodeId sw = 0; sw < num_switches; ++sw) {
-    for (int i = 0; i < topo.servers_per_switch[sw]; ++i, ++server) {
+    for (int i = 0; i < topo.servers_per_switch()[sw]; ++i, ++server) {
       part.lp_of_node[static_cast<std::size_t>(num_switches + server)] =
           part.lp_of_node[static_cast<std::size_t>(sw)];
     }

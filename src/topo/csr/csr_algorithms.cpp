@@ -1,128 +1,38 @@
 #include "topo/csr/csr_algorithms.hpp"
 
-#include <cmath>
-
 #include "common/check.hpp"
-#include "common/rng.hpp"
+#include "graph/algorithms.hpp"
 
 namespace flexnets::topo {
 
-std::vector<std::int32_t> csr_bfs_distances(const CsrTopology& t,
-                                            CsrNodeId src) {
-  const auto n = static_cast<std::size_t>(t.num_switches);
-  std::vector<std::int32_t> dist(n, kCsrUnreachable);
-  std::vector<std::int32_t> queue;
-  queue.reserve(n);
-  dist[static_cast<std::size_t>(src)] = 0;
-  queue.push_back(src);
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const auto u = queue[head];
-    const auto du = dist[static_cast<std::size_t>(u)];
-    for (auto a = t.offsets[static_cast<std::size_t>(u)];
-         a < t.offsets[static_cast<std::size_t>(u) + 1]; ++a) {
-      const auto v = t.targets[static_cast<std::size_t>(a)];
-      if (dist[static_cast<std::size_t>(v)] == kCsrUnreachable) {
-        dist[static_cast<std::size_t>(v)] = du + 1;
-        queue.push_back(v);
-      }
-    }
-  }
-  return dist;
-}
-
-CsrBfsTree csr_bfs_tree(const CsrTopology& t, CsrNodeId root) {
-  const auto n = static_cast<std::size_t>(t.num_switches);
+CsrBfsTree csr_bfs_tree(const Topology& t, NodeId root) {
+  const auto n = static_cast<std::size_t>(t.num_switches());
   FLEXNETS_CHECK(root >= 0 && static_cast<std::size_t>(root) < n,
                  "BFS root out of range");
   CsrBfsTree tree;
   tree.root = root;
-  tree.parent.assign(n, kCsrUnreachable);
-  tree.parent_arc.assign(n, -1);
-  tree.depth.assign(n, kCsrUnreachable);
+  tree.parent.assign(n, graph::kInvalidNode);
+  tree.parent_edge.assign(n, -1);
+  tree.depth.assign(n, graph::kUnreachable);
   tree.order.reserve(n);
   tree.depth[static_cast<std::size_t>(root)] = 0;
   tree.order.push_back(root);
   for (std::size_t head = 0; head < tree.order.size(); ++head) {
-    const auto u = tree.order[head];
-    const auto du = tree.depth[static_cast<std::size_t>(u)];
-    for (auto a = t.offsets[static_cast<std::size_t>(u)];
-         a < t.offsets[static_cast<std::size_t>(u) + 1]; ++a) {
-      const auto v = t.targets[static_cast<std::size_t>(a)];
-      if (tree.depth[static_cast<std::size_t>(v)] == kCsrUnreachable) {
-        tree.depth[static_cast<std::size_t>(v)] = du + 1;
-        tree.parent[static_cast<std::size_t>(v)] = u;
-        tree.parent_arc[static_cast<std::size_t>(v)] = a;
-        tree.order.push_back(v);
+    const NodeId u = tree.order[head];
+    const int du = tree.depth[static_cast<std::size_t>(u)];
+    const auto edges = t.g.incident(u);
+    const auto nbrs = t.g.neighbors(u);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const auto v = static_cast<std::size_t>(nbrs[i]);
+      if (tree.depth[v] == graph::kUnreachable) {
+        tree.depth[v] = du + 1;
+        tree.parent[v] = u;
+        tree.parent_edge[v] = edges[i];
+        tree.order.push_back(nbrs[i]);
       }
     }
   }
   return tree;
-}
-
-bool csr_is_connected(const CsrTopology& t) {
-  if (t.num_switches == 0) return true;
-  const auto dist = csr_bfs_distances(t, 0);
-  for (const auto d : dist) {
-    if (d == kCsrUnreachable) return false;
-  }
-  return true;
-}
-
-namespace {
-
-// y = A x over the CSR arc scan (each undirected edge appears as two arcs).
-void csr_adj_multiply(const CsrTopology& t, const std::vector<double>& x,
-                      std::vector<double>& y) {
-  std::fill(y.begin(), y.end(), 0.0);
-  for (std::int32_t u = 0; u < t.num_switches; ++u) {
-    double acc = 0.0;
-    for (auto a = t.offsets[static_cast<std::size_t>(u)];
-         a < t.offsets[static_cast<std::size_t>(u) + 1]; ++a) {
-      acc += x[static_cast<std::size_t>(t.targets[static_cast<std::size_t>(a)])];
-    }
-    y[static_cast<std::size_t>(u)] = acc;
-  }
-}
-
-void remove_mean(std::vector<double>& x) {
-  double mean = 0.0;
-  for (double v : x) mean += v;
-  mean /= static_cast<double>(x.size());
-  for (double& v : x) v -= mean;
-}
-
-double norm(const std::vector<double>& x) {
-  double s = 0.0;
-  for (double v : x) s += v * v;
-  return std::sqrt(s);
-}
-
-}  // namespace
-
-CsrSpectral csr_second_eigenvector(const CsrTopology& t, int iters,
-                                   std::uint64_t seed) {
-  const auto n = static_cast<std::size_t>(t.num_switches);
-  CsrSpectral out;
-  if (n < 2) return out;
-  Rng rng(seed);
-  std::vector<double> x(n), y(n);
-  for (double& v : x) v = rng.next_double() - 0.5;
-  remove_mean(x);
-
-  double lambda = 0.0;
-  for (int it = 0; it < iters; ++it) {
-    csr_adj_multiply(t, x, y);
-    remove_mean(y);  // stay orthogonal to the all-ones vector
-    const double ny = norm(y);
-    if (ny == 0.0) return out;
-    lambda = ny / (norm(x) > 0 ? norm(x) : 1.0);
-    for (std::size_t i = 0; i < n; ++i) x[i] = y[i] / ny;
-  }
-  // Power iteration on A (not A^2) can oscillate when the dominant
-  // orthogonal eigenvalue is negative; |lambda| is still the magnitude.
-  out.lambda = std::abs(lambda);
-  out.vec = std::move(x);
-  return out;
 }
 
 }  // namespace flexnets::topo

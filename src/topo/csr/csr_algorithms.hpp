@@ -1,48 +1,34 @@
-// Graph algorithms over the flat CSR representation — the hyperscale
-// counterparts of graph/algorithms.hpp and graph/spectral.hpp. Everything
-// here is O(V + E) with flat arrays only (no per-node containers), so a
-// 100k-switch topology is traversed without the multigraph's allocation
-// overhead. graph/ remains the differential-test oracle: tests/csr/ checks
-// these against the adjacency-list versions on seeded topologies.
+// Graph algorithms the hyperscale bracket (flow/bracket.cpp) runs on a
+// topology: O(V + E) over the graph's flat adjacency, with no per-node
+// containers, so a 100k-switch topology is traversed in a few flat arrays.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "topo/csr/csr_topology.hpp"
+#include "graph/spectral.hpp"
+#include "topo/topology.hpp"
 
 namespace flexnets::topo {
 
-constexpr std::int32_t kCsrUnreachable = -1;
-
-// BFS hop distances from `src` (kCsrUnreachable where disconnected).
-std::vector<std::int32_t> csr_bfs_distances(const CsrTopology& t,
-                                            CsrNodeId src);
-
-// A rooted BFS tree: parent/parent_arc are kCsrUnreachable/-1 at the root
-// and at unreached nodes; `order` lists reached nodes in dequeue order
-// (root first), so a reverse scan visits children before parents —
-// subtree aggregation is one backward pass, no recursion.
+// A rooted BFS tree over t.g. parent is kInvalidNode and parent_edge -1 at
+// the root and at unreached nodes; depth is graph::kUnreachable where
+// unreached. `order` lists reached nodes in dequeue order (root first), so
+// a reverse scan visits children before parents: subtree aggregation is
+// one backward pass, no recursion.
 struct CsrBfsTree {
-  CsrNodeId root = 0;
-  std::vector<std::int32_t> parent;
-  std::vector<std::int64_t> parent_arc;  // CSR arc index parent -> child
-  std::vector<std::int32_t> depth;       // kCsrUnreachable if unreached
-  std::vector<std::int32_t> order;
+  NodeId root = 0;
+  std::vector<NodeId> parent;
+  std::vector<graph::EdgeId> parent_edge;  // the link parent(v) -- v
+  std::vector<int> depth;
+  std::vector<NodeId> order;
 };
-CsrBfsTree csr_bfs_tree(const CsrTopology& t, CsrNodeId root);
+CsrBfsTree csr_bfs_tree(const Topology& t, NodeId root);
 
-bool csr_is_connected(const CsrTopology& t);
-
-// Approximate second-largest adjacency eigenvalue by power iteration
-// deflated against the all-ones vector (same scheme as graph/spectral.cpp,
-// ported to the CSR arc scan). `vec` is the final mean-free unit iterate —
-// the sign/sweep cuts of flow/bracket.cpp partition on it.
-struct CsrSpectral {
-  double lambda = 0.0;  // |estimate|; 0 for graphs with < 2 nodes
-  std::vector<double> vec;
-};
-CsrSpectral csr_second_eigenvector(const CsrTopology& t, int iters,
-                                   std::uint64_t seed);
+// graph::second_eigenvector on t.g; perfbench/ times it by this name.
+inline graph::SecondEigen csr_second_eigenvector(const Topology& t, int iters,
+                                                 std::uint64_t seed) {
+  return graph::second_eigenvector(t.g, iters, seed);
+}
 
 }  // namespace flexnets::topo

@@ -1,6 +1,9 @@
 #include "topo/dragonfly.hpp"
 
 #include <cassert>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace flexnets::topo {
 
@@ -12,17 +15,13 @@ Dragonfly dragonfly(int a, int h, int servers_per_switch) {
   const int groups = a * h + 1;
   const int n = groups * a;
 
-  df.topo.name = "dragonfly(a=" + std::to_string(a) +
-                 ",h=" + std::to_string(h) + ")";
-  df.topo.g = graph::Graph(n);
-  df.topo.servers_per_switch.assign(static_cast<std::size_t>(n),
-                                    servers_per_switch);
+  std::vector<graph::Edge> links;
 
   // Intra-group: complete graph on each group's a routers.
   for (int grp = 0; grp < groups; ++grp) {
     for (int i = 0; i < a; ++i) {
       for (int j = i + 1; j < a; ++j) {
-        df.topo.g.add_edge(grp * a + i, grp * a + j);
+        links.push_back({grp * a + i, grp * a + j});
       }
     }
   }
@@ -38,10 +37,14 @@ Dragonfly dragonfly(int a, int h, int servers_per_switch) {
         // Peer port on gj that points back to gi.
         const int q = (gi - gj - 1 + groups) % groups;
         assert(q >= 0 && q < a * h);
-        df.topo.g.add_edge(gi * a + p / h, gj * a + q / h);
+        links.push_back({gi * a + p / h, gj * a + q / h});
       }
     }
   }
+  df.topo = Topology(
+      "dragonfly(a=" + std::to_string(a) + ",h=" + std::to_string(h) + ")",
+      graph::Graph(n, std::move(links)),
+      std::vector<int>(static_cast<std::size_t>(n), servers_per_switch));
   return df;
 }
 

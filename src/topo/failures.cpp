@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -16,13 +18,14 @@ namespace {
 bool survivors_connected(const graph::Graph& g,
                          const std::vector<char>& dead_edge,
                          const std::vector<char>& dead_switch) {
-  graph::Graph live(g.num_nodes());
+  std::vector<graph::Edge> kept;
   for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
     const auto& ed = g.edge(e);
     if (!dead_edge[e] && !dead_switch[ed.a] && !dead_switch[ed.b]) {
-      live.add_edge(ed.a, ed.b);
+      kept.push_back(ed);
     }
   }
+  const graph::Graph live(g.num_nodes(), std::move(kept));
   graph::NodeId root = graph::kInvalidNode;
   for (graph::NodeId n = 0; n < g.num_nodes(); ++n) {
     if (!dead_switch[n]) {
@@ -59,13 +62,6 @@ Topology with_failed_links(const Topology& t, double fraction,
   const std::vector<char> no_dead_switch(
       static_cast<std::size_t>(t.num_switches()), 0);
   std::vector<char> removed(static_cast<std::size_t>(total), 0);
-  auto rebuild = [&]() {
-    graph::Graph g(t.num_switches());
-    for (graph::EdgeId e = 0; e < total; ++e) {
-      if (!removed[e]) g.add_edge(t.g.edge(e).a, t.g.edge(e).b);
-    }
-    return g;
-  };
 
   for (const graph::EdgeId e : order) {
     if (to_remove == 0) break;
@@ -78,12 +74,14 @@ Topology with_failed_links(const Topology& t, double fraction,
     }
   }
 
-  Topology out;
-  out.name = t.name + "+failures(" +
-             std::to_string(static_cast<int>(fraction * 100)) + "%)";
-  out.g = rebuild();
-  out.servers_per_switch = t.servers_per_switch;
-  return out;
+  std::vector<graph::Edge> kept;
+  for (graph::EdgeId e = 0; e < total; ++e) {
+    if (!removed[e]) kept.push_back(t.g.edge(e));
+  }
+  return Topology(t.name + "+failures(" +
+                      std::to_string(static_cast<int>(fraction * 100)) + "%)",
+                  graph::Graph(t.num_switches(), std::move(kept)),
+                  t.servers_per_switch());
 }
 
 Topology with_failed_switches(const Topology& t, int count,
@@ -102,7 +100,7 @@ Topology with_failed_switches(const Topology& t, int count,
   int budget = count;
   for (const graph::NodeId n : order) {
     if (budget == 0) break;
-    if (!opt.allow_tor_failures && t.servers_per_switch[n] > 0) continue;
+    if (!opt.allow_tor_failures && t.servers_per_switch()[n] > 0) continue;
     dead[n] = 1;
     if (opt.preserve_connectivity &&
         !survivors_connected(t.g, no_dead_edge, dead)) {
@@ -112,18 +110,17 @@ Topology with_failed_switches(const Topology& t, int count,
     --budget;
   }
 
-  Topology out;
-  out.name = t.name + "+switch-failures(" + std::to_string(count - budget) +
-             ")";
-  out.g = graph::Graph(t.num_switches());
+  std::vector<graph::Edge> kept;
   for (const auto& ed : t.g.edges()) {
-    if (!dead[ed.a] && !dead[ed.b]) out.g.add_edge(ed.a, ed.b);
+    if (!dead[ed.a] && !dead[ed.b]) kept.push_back(ed);
   }
-  out.servers_per_switch = t.servers_per_switch;
+  std::vector<int> servers = t.servers_per_switch();
   for (graph::NodeId n = 0; n < t.num_switches(); ++n) {
-    if (dead[n]) out.servers_per_switch[n] = 0;
+    if (dead[n]) servers[n] = 0;
   }
-  return out;
+  return Topology(
+      t.name + "+switch-failures(" + std::to_string(count - budget) + ")",
+      graph::Graph(t.num_switches(), std::move(kept)), std::move(servers));
 }
 
 }  // namespace flexnets::topo

@@ -1,24 +1,21 @@
 #include "topo/fat_tree.hpp"
 
 #include <cassert>
+#include <string>
 #include <utility>
 #include <vector>
 
 namespace flexnets::topo {
 
-namespace {
+int FatTreeLayout::pod_of(NodeId s) const {
+  const int half = k / 2;
+  if (is_edge(s)) return static_cast<int>(s) / half;
+  if (is_agg(s)) return static_cast<int>(s - num_edge) / half;
+  return -1;  // cores belong to no pod
+}
 
-struct FatTreeLinks {
-  FatTreeLayout layout;
-  std::string name;
-  std::vector<std::pair<NodeId, NodeId>> links;
-  std::vector<int> servers;
-};
-
-// The stripped fat-tree's edge list in canonical (pod, edge, agg) then
-// (stripe round-robin, pod) order. Both the multigraph and the CSR builders
-// consume this, keeping the two representations edge-for-edge identical.
-FatTreeLinks fat_tree_links(int k, int cores_kept) {
+// Links in canonical (pod, edge, agg) then (stripe round-robin, pod) order.
+FatTree fat_tree_stripped(int k, int cores_kept) {
   assert(k >= 2 && k % 2 == 0);
   const int half = k / 2;
   const int num_edge = k * half;
@@ -26,27 +23,25 @@ FatTreeLinks fat_tree_links(int k, int cores_kept) {
   const int full_cores = half * half;
   assert(cores_kept >= 1 && cores_kept <= full_cores);
 
-  FatTreeLinks out;
-  out.layout = {k, num_edge, num_agg, cores_kept};
-  out.name = cores_kept == full_cores
-                 ? "fat-tree(k=" + std::to_string(k) + ")"
-                 : "fat-tree(k=" + std::to_string(k) + ",cores=" +
-                       std::to_string(cores_kept) + "/" +
-                       std::to_string(full_cores) + ")";
-  out.servers.assign(static_cast<std::size_t>(num_edge + num_agg + cores_kept),
-                     0);
-
+  const int n = num_edge + num_agg + cores_kept;
+  std::string name = cores_kept == full_cores
+                         ? "fat-tree(k=" + std::to_string(k) + ")"
+                         : "fat-tree(k=" + std::to_string(k) + ",cores=" +
+                               std::to_string(cores_kept) + "/" +
+                               std::to_string(full_cores) + ")";
   // Edge switches host k/2 servers each.
-  for (NodeId e = 0; e < num_edge; ++e) out.servers[e] = half;
+  std::vector<int> servers(static_cast<std::size_t>(n), 0);
+  for (NodeId e = 0; e < num_edge; ++e) servers[e] = half;
 
-  out.links.reserve(static_cast<std::size_t>(num_edge) * half +
-                    static_cast<std::size_t>(cores_kept) * k);
+  std::vector<graph::Edge> links;
+  links.reserve(static_cast<std::size_t>(num_edge) * half +
+                static_cast<std::size_t>(cores_kept) * k);
 
   // Edge <-> aggregation, full bipartite within each pod.
   for (int pod = 0; pod < k; ++pod) {
     for (int e = 0; e < half; ++e) {
       for (int a = 0; a < half; ++a) {
-        out.links.emplace_back(pod * half + e, num_edge + pod * half + a);
+        links.push_back({pod * half + e, num_edge + pod * half + a});
       }
     }
   }
@@ -61,56 +56,18 @@ FatTreeLinks fat_tree_links(int k, int cores_kept) {
     for (int stripe = 0; stripe < half && added < cores_kept; ++stripe) {
       const NodeId core = num_edge + num_agg + added;
       for (int pod = 0; pod < k; ++pod) {
-        out.links.emplace_back(num_edge + pod * half + stripe, core);
+        links.push_back({num_edge + pod * half + stripe, core});
       }
       ++added;
     }
   }
-  return out;
-}
-
-}  // namespace
-
-FatTreeLayout fat_tree_layout(int k, int cores_kept) {
-  assert(k >= 2 && k % 2 == 0);
-  const int half = k / 2;
-  return {k, k * half, k * half, cores_kept};
-}
-
-int FatTreeLayout::pod_of(NodeId s) const {
-  const int half = k / 2;
-  if (is_edge(s)) return static_cast<int>(s) / half;
-  if (is_agg(s)) return static_cast<int>(s - num_edge) / half;
-  return -1;  // cores belong to no pod
-}
-
-FatTree fat_tree_stripped(int k, int cores_kept) {
-  auto parts = fat_tree_links(k, cores_kept);
-  const int n = parts.layout.num_edge + parts.layout.num_agg +
-                parts.layout.num_core;
-
   FatTree ft;
-  ft.layout = parts.layout;
-  ft.topo.name = std::move(parts.name);
-  ft.topo.g = graph::Graph(n);
-  for (const auto& [a, b] : parts.links) ft.topo.g.add_edge(a, b);
-  ft.topo.servers_per_switch = std::move(parts.servers);
+  ft.layout = {k, num_edge, num_agg, cores_kept};
+  ft.topo = Topology(std::move(name), graph::Graph(n, std::move(links)),
+                     std::move(servers));
   return ft;
 }
 
 FatTree fat_tree(int k) { return fat_tree_stripped(k, (k / 2) * (k / 2)); }
-
-CsrTopology fat_tree_stripped_csr(int k, int cores_kept) {
-  auto parts = fat_tree_links(k, cores_kept);
-  const int n = parts.layout.num_edge + parts.layout.num_agg +
-                parts.layout.num_core;
-  return CsrTopology::build(
-      std::move(parts.name), n, std::move(parts.links),
-      std::vector<std::int32_t>(parts.servers.begin(), parts.servers.end()));
-}
-
-CsrTopology fat_tree_csr(int k) {
-  return fat_tree_stripped_csr(k, (k / 2) * (k / 2));
-}
 
 }  // namespace flexnets::topo

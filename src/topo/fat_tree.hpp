@@ -3,7 +3,6 @@
 // "77%-fat-tree" of Fig 11).
 #pragma once
 
-#include "topo/csr/csr_topology.hpp"
 #include "topo/topology.hpp"
 
 namespace flexnets::topo {
@@ -39,15 +38,5 @@ FatTree fat_tree(int k);
 // striped). cores_kept in [1, (k/2)^2]. Aggregation uplinks to removed cores
 // simply do not exist, oversubscribing the agg<->core stage.
 FatTree fat_tree_stripped(int k, int cores_kept);
-
-// Flat-representation twins: the same canonical edge list built straight
-// into pre-sized CSR arrays (no multigraph). Layout metadata for a CSR
-// fat-tree comes from fat_tree_layout below.
-CsrTopology fat_tree_csr(int k);
-CsrTopology fat_tree_stripped_csr(int k, int cores_kept);
-
-// The FatTreeLayout a (possibly stripped) k-ary fat-tree uses, without
-// building the topology — pairs with fat_tree_*_csr.
-FatTreeLayout fat_tree_layout(int k, int cores_kept);
 
 }  // namespace flexnets::topo

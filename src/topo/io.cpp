@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -57,7 +58,7 @@ void write_text(std::ostream& out, const Topology& t) {
   out << "name " << (t.name.empty() ? "(unnamed)" : t.name) << "\n";
   out << "switches " << t.num_switches() << "\n";
   out << "servers";
-  for (const int s : t.servers_per_switch) out << " " << s;
+  for (const int s : t.servers_per_switch()) out << " " << s;
   out << "\n";
   out << "links " << t.g.num_edges() << "\n";
   for (const auto& e : t.g.edges()) out << e.a << " " << e.b << "\n";
@@ -79,7 +80,6 @@ StatusOr<Topology> read_text(std::istream& in) {
                                ": bad header (expected 'flexnets-topology 1')");
   }
 
-  Topology t;
   if (!r.next(line)) {
     return invalid_input_error("line ", r.line_no + 1,
                                ": unexpected end of file (expected 'name ...')");
@@ -87,7 +87,7 @@ StatusOr<Topology> read_text(std::istream& in) {
   if (line.rfind("name ", 0) != 0) {
     return invalid_input_error("line ", r.line_no, ": expected 'name <string>'");
   }
-  t.name = line.substr(5);
+  std::string name = line.substr(5);
 
   if (!r.next(line)) {
     return invalid_input_error(
@@ -110,6 +110,7 @@ StatusOr<Topology> read_text(std::istream& in) {
         "line ", r.line_no + 1,
         ": unexpected end of file (expected 'servers ...')");
   }
+  std::vector<int> servers;
   {
     const auto toks = tokens_of(line);
     if (toks.empty() || toks[0] != "servers") {
@@ -120,7 +121,8 @@ StatusOr<Topology> read_text(std::istream& in) {
       return invalid_input_error("line ", r.line_no, ": expected ", n,
                                  " server counts, got ", toks.size() - 1);
     }
-    t.servers_per_switch.resize(static_cast<std::size_t>(n));
+    servers.resize(static_cast<std::size_t>(n));
+    long long total = 0;
     for (long long i = 0; i < n; ++i) {
       long long s = 0;
       if (!parse_int(toks[static_cast<std::size_t>(i + 1)], &s) || s < 0) {
@@ -129,7 +131,14 @@ StatusOr<Topology> read_text(std::istream& in) {
             " is not a non-negative integer: '",
             toks[static_cast<std::size_t>(i + 1)], "'");
       }
-      t.servers_per_switch[static_cast<std::size_t>(i)] = static_cast<int>(s);
+      // Servers are numbered with int ids.
+      if (s > std::numeric_limits<int>::max() - total) {
+        return invalid_input_error("line ", r.line_no, ": more than ",
+                                   std::numeric_limits<int>::max(),
+                                   " servers in all");
+      }
+      total += s;
+      servers[static_cast<std::size_t>(i)] = static_cast<int>(s);
     }
   }
 
@@ -149,7 +158,7 @@ StatusOr<Topology> read_text(std::istream& in) {
     }
   }
 
-  t.g = graph::Graph(static_cast<int>(n));
+  std::vector<graph::Edge> links;
   std::set<std::pair<long long, long long>> seen;
   for (long long i = 0; i < m; ++i) {
     if (!r.next(line)) {
@@ -178,9 +187,11 @@ StatusOr<Topology> read_text(std::istream& in) {
       return invalid_input_error("line ", r.line_no, ": duplicate link ", a,
                                  " ", b);
     }
-    t.g.add_edge(static_cast<int>(a), static_cast<int>(b));
+    links.push_back({static_cast<int>(a), static_cast<int>(b)});
   }
-  return t;
+  return Topology(std::move(name),
+                  graph::Graph(static_cast<int>(n), std::move(links)),
+                  std::move(servers));
 }
 
 StatusOr<Topology> from_text(const std::string& text) {
@@ -193,8 +204,8 @@ std::string to_dot(const Topology& t) {
   out << "graph \"" << t.name << "\" {\n  node [shape=box];\n";
   for (graph::NodeId s = 0; s < t.num_switches(); ++s) {
     out << "  s" << s << " [label=\"s" << s;
-    if (t.servers_per_switch[s] > 0) {
-      out << " (+" << t.servers_per_switch[s] << " srv)";
+    if (t.servers_per_switch()[s] > 0) {
+      out << " (+" << t.servers_per_switch()[s] << " srv)";
     }
     out << "\"];\n";
   }

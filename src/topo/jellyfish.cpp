@@ -23,7 +23,7 @@ Pair canon(NodeId a, NodeId b) { return a < b ? Pair{a, b} : Pair{b, a}; }
 // order". Because the global order (bucket index major, b minor) IS the
 // std::set iteration order of canonical pairs, every RNG-visible operation
 // — membership, indexed pick, final sorted emission — matches the legacy
-// construction bit for bit (tests/csr differential suite).
+// construction bit for bit (tests/csr pins every generator's digest).
 class LinkSet {
  public:
   LinkSet(NodeId n, int expected_degree)
@@ -81,12 +81,12 @@ class LinkSet {
   }
 
   // All links ascending (a, b) — the legacy set's iteration order.
-  [[nodiscard]] std::vector<Pair> sorted_links() const {
-    std::vector<Pair> out;
+  [[nodiscard]] std::vector<graph::Edge> sorted_links() const {
+    std::vector<graph::Edge> out;
     out.reserve(static_cast<std::size_t>(size_));
     for (std::size_t a = 0; a < buckets_.size(); ++a) {
       for (const NodeId b : buckets_[a]) {
-        out.emplace_back(static_cast<NodeId>(a), b);
+        out.push_back({static_cast<NodeId>(a), b});
       }
     }
     return out;
@@ -111,7 +111,8 @@ class LinkSet {
 // ports. If the total port count is odd, one port stays unfilled. Returns
 // the links ascending; RNG-visible behavior is identical to the historic
 // std::set construction (same seeds reproduce the same graphs).
-std::vector<Pair> random_links(const std::vector<int>& degree, Rng rng) {
+std::vector<graph::Edge> random_links(const std::vector<int>& degree,
+                                     Rng rng) {
   const auto n = static_cast<NodeId>(degree.size());
   const int max_degree =
       degree.empty() ? 0 : *std::max_element(degree.begin(), degree.end());
@@ -191,16 +192,6 @@ std::vector<Pair> random_links(const std::vector<int>& degree, Rng rng) {
   return links.sorted_links();
 }
 
-Topology from_links(std::string name, int num_switches,
-                    std::vector<int> servers, const std::vector<Pair>& links) {
-  Topology t;
-  t.name = std::move(name);
-  t.g = graph::Graph(num_switches);
-  for (const auto& [a, b] : links) t.g.add_edge(a, b);
-  t.servers_per_switch = std::move(servers);
-  return t;
-}
-
 std::string jellyfish_name(int num_switches, int network_degree) {
   return "jellyfish(n=" + std::to_string(num_switches) +
          ",r=" + std::to_string(network_degree) + ")";
@@ -213,8 +204,9 @@ std::string same_equipment_name(int num_switches, int radix,
          ",srv=" + std::to_string(total_servers) + ")";
 }
 
-std::vector<Pair> jellyfish_links(int num_switches, int network_degree,
-                                  std::uint64_t seed) {
+std::vector<graph::Edge> jellyfish_links(int num_switches,
+                                         int network_degree,
+                                         std::uint64_t seed) {
   assert(num_switches > network_degree);
   assert((static_cast<std::int64_t>(num_switches) * network_degree) % 2 == 0);
   const std::vector<int> degree(static_cast<std::size_t>(num_switches),
@@ -242,42 +234,24 @@ std::pair<std::vector<int>, std::vector<int>> same_equipment_layout(
 
 Topology jellyfish(int num_switches, int network_degree,
                    int servers_per_switch, std::uint64_t seed) {
-  return from_links(jellyfish_name(num_switches, network_degree),
-                    num_switches,
-                    std::vector<int>(static_cast<std::size_t>(num_switches),
-                                     servers_per_switch),
-                    jellyfish_links(num_switches, network_degree, seed));
-}
-
-CsrTopology jellyfish_csr(int num_switches, int network_degree,
-                          int servers_per_switch, std::uint64_t seed) {
-  return CsrTopology::build(
-      jellyfish_name(num_switches, network_degree), num_switches,
-      jellyfish_links(num_switches, network_degree, seed),
-      std::vector<std::int32_t>(static_cast<std::size_t>(num_switches),
-                                servers_per_switch));
+  return Topology(
+      jellyfish_name(num_switches, network_degree),
+      graph::Graph(num_switches,
+                   jellyfish_links(num_switches, network_degree, seed)),
+      std::vector<int>(static_cast<std::size_t>(num_switches),
+                       servers_per_switch));
 }
 
 Topology jellyfish_same_equipment(int num_switches, int radix,
                                   int total_servers, std::uint64_t seed) {
   auto [servers, degree] =
       same_equipment_layout(num_switches, radix, total_servers);
-  const auto links =
-      random_links(degree, Rng(splitmix64(seed ^ 0x4a656c6c79ULL)));
-  return from_links(same_equipment_name(num_switches, radix, total_servers),
-                    num_switches, std::move(servers), links);
-}
-
-CsrTopology jellyfish_same_equipment_csr(int num_switches, int radix,
-                                         int total_servers,
-                                         std::uint64_t seed) {
-  auto [servers, degree] =
-      same_equipment_layout(num_switches, radix, total_servers);
-  const auto links =
-      random_links(degree, Rng(splitmix64(seed ^ 0x4a656c6c79ULL)));
-  return CsrTopology::build(
-      same_equipment_name(num_switches, radix, total_servers), num_switches,
-      links, std::vector<std::int32_t>(servers.begin(), servers.end()));
+  return Topology(
+      same_equipment_name(num_switches, radix, total_servers),
+      graph::Graph(num_switches,
+                   random_links(degree,
+                                Rng(splitmix64(seed ^ 0x4a656c6c79ULL)))),
+      std::move(servers));
 }
 
 }  // namespace flexnets::topo

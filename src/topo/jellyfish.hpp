@@ -4,7 +4,6 @@
 
 #include <cstdint>
 
-#include "topo/csr/csr_topology.hpp"
 #include "topo/topology.hpp"
 
 namespace flexnets::topo {
@@ -22,16 +21,5 @@ Topology jellyfish(int num_switches, int network_degree,
 // end with an unfilled port (odd port total).
 Topology jellyfish_same_equipment(int num_switches, int radix,
                                   int total_servers, std::uint64_t seed);
-
-// Flat-representation twins: identical wiring for identical arguments (the
-// multigraph and CSR constructions share one RNG-faithful core), but built
-// straight into pre-sized CSR arrays — the only generator path that holds
-// at 10k-100k switches. tests/csr checks digest equality against the
-// adjacency-list versions above.
-CsrTopology jellyfish_csr(int num_switches, int network_degree,
-                          int servers_per_switch, std::uint64_t seed);
-CsrTopology jellyfish_same_equipment_csr(int num_switches, int radix,
-                                         int total_servers,
-                                         std::uint64_t seed);
 
 }  // namespace flexnets::topo

@@ -1,6 +1,8 @@
 #include "topo/long_hop.hpp"
 
 #include <cassert>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace flexnets::topo {
@@ -24,18 +26,20 @@ Topology long_hop(int dim, int extra, int servers_per_switch) {
     gens.push_back(w);
   }
 
-  Topology t;
-  t.name = "longhop(dim=" + std::to_string(dim) + ",extra=" +
-           std::to_string(extra) + ")";
-  t.g = graph::Graph(n);
-  t.servers_per_switch.assign(static_cast<std::size_t>(n), servers_per_switch);
+  std::vector<graph::Edge> links;
   for (unsigned u = 0; u < static_cast<unsigned>(n); ++u) {
     for (unsigned gen : gens) {
       const unsigned v = u ^ gen;
-      if (u < v) t.g.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v));
+      if (u < v) {
+        links.push_back({static_cast<NodeId>(u), static_cast<NodeId>(v)});
+      }
     }
   }
-  return t;
+  return Topology(
+      "longhop(dim=" + std::to_string(dim) + ",extra=" +
+          std::to_string(extra) + ")",
+      graph::Graph(n, std::move(links)),
+      std::vector<int>(static_cast<std::size_t>(n), servers_per_switch));
 }
 
 }  // namespace flexnets::topo

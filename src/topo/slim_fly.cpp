@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace flexnets::topo {
@@ -67,10 +69,6 @@ SlimFly slim_fly(int q, int servers_per_switch) {
   sf.q = q;
   sf.delta = delta;
   const int n = 2 * q * q;
-  sf.topo.name = "slimfly(q=" + std::to_string(q) + ")";
-  sf.topo.g = graph::Graph(n);
-  sf.topo.servers_per_switch.assign(static_cast<std::size_t>(n),
-                                    servers_per_switch);
 
   const int xi = primitive_root(q);
   std::set<int> X, Xp;
@@ -89,12 +87,13 @@ SlimFly slim_fly(int q, int servers_per_switch) {
 
   // Intra-group links; X and X' are symmetric sets for the respective delta,
   // so add each undirected edge once (y < y' ordering).
+  std::vector<graph::Edge> links;
   for (int x = 0; x < q; ++x) {
     for (int y = 0; y < q; ++y) {
       for (int yp = y + 1; yp < q; ++yp) {
         const int diff = (yp - y) % q;
         if (X.contains(diff) && X.contains((q - diff) % q)) {
-          sf.topo.g.add_edge(id0(x, y), id0(x, yp));
+          links.push_back({id0(x, y), id0(x, yp)});
         }
       }
     }
@@ -104,7 +103,7 @@ SlimFly slim_fly(int q, int servers_per_switch) {
       for (int cp = c + 1; cp < q; ++cp) {
         const int diff = (cp - c) % q;
         if (Xp.contains(diff) && Xp.contains((q - diff) % q)) {
-          sf.topo.g.add_edge(id1(m, c), id1(m, cp));
+          links.push_back({id1(m, c), id1(m, cp)});
         }
       }
     }
@@ -115,10 +114,13 @@ SlimFly slim_fly(int q, int servers_per_switch) {
     for (int y = 0; y < q; ++y) {
       for (int m = 0; m < q; ++m) {
         const int c = ((y - m * x) % q + q * q) % q;
-        sf.topo.g.add_edge(id0(x, y), id1(m, c));
+        links.push_back({id0(x, y), id1(m, c)});
       }
     }
   }
+  sf.topo = Topology(
+      "slimfly(q=" + std::to_string(q) + ")", graph::Graph(n, std::move(links)),
+      std::vector<int>(static_cast<std::size_t>(n), servers_per_switch));
   return sf;
 }
 

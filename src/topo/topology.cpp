@@ -1,120 +1,70 @@
 #include "topo/topology.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <memory>
+#include <limits>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/digest.hpp"
 
 namespace flexnets::topo {
 
-Topology::~Topology() {
-  delete server_index_cache_.load(std::memory_order_acquire);
-}
-
-// Copies and moves transfer only the logical fields; the derived index is
-// dropped (copy) or stolen (move) so a stale cache can never describe the
-// new contents.
-Topology::Topology(const Topology& other)
-    : name(other.name),
-      g(other.g),
-      servers_per_switch(other.servers_per_switch) {}
-
-Topology::Topology(Topology&& other) noexcept
-    : name(std::move(other.name)),
-      g(std::move(other.g)),
-      servers_per_switch(std::move(other.servers_per_switch)),
-      server_index_cache_(
-          other.server_index_cache_.exchange(nullptr,
-                                             std::memory_order_acq_rel)) {}
-
-Topology& Topology::operator=(const Topology& other) {
-  if (this == &other) return *this;
-  name = other.name;
-  g = other.g;
-  servers_per_switch = other.servers_per_switch;
-  delete server_index_cache_.exchange(nullptr, std::memory_order_acq_rel);
-  return *this;
-}
-
-Topology& Topology::operator=(Topology&& other) noexcept {
-  if (this == &other) return *this;
-  name = std::move(other.name);
-  g = std::move(other.g);
-  servers_per_switch = std::move(other.servers_per_switch);
-  delete server_index_cache_.exchange(
-      other.server_index_cache_.exchange(nullptr, std::memory_order_acq_rel),
-      std::memory_order_acq_rel);
-  return *this;
-}
-
-const Topology::ServerIndex& Topology::server_index() const {
-  const auto* existing = server_index_cache_.load(std::memory_order_acquire);
-  if (existing != nullptr) {
-    if (audit_enabled()) {
-      // In-place-mutation audit: the cached index must still describe
-      // servers_per_switch. Catches code that edits a topology after its
-      // first server lookup instead of rebuilding it.
-      FLEXNETS_CHECK_EQ(existing->first_server.size(),
-                        servers_per_switch.size() + 1,
-                        "stale Topology server index (switch count changed)");
-      for (std::size_t s = 0; s < servers_per_switch.size(); ++s) {
-        FLEXNETS_CHECK_EQ(
-            existing->first_server[s + 1] - existing->first_server[s],
-            servers_per_switch[s],
-            "stale Topology server index (servers_per_switch mutated)");
-      }
-    }
-    return *existing;
+Topology::Topology(std::string name, graph::Graph g,
+                   std::vector<int> servers_per_switch)
+    : name(std::move(name)),
+      g(std::move(g)),
+      servers_per_switch_(std::move(servers_per_switch)),
+      first_server_(servers_per_switch_.size() + 1, 0) {
+  FLEXNETS_CHECK_EQ(servers_per_switch_.size(),
+                    static_cast<std::size_t>(this->g.num_nodes()),
+                    "one server count per switch");
+  std::int64_t total = 0;
+  for (std::size_t s = 0; s < servers_per_switch_.size(); ++s) {
+    FLEXNETS_CHECK(servers_per_switch_[s] >= 0, "negative server count at ",
+                   s);
+    total += servers_per_switch_[s];
+    FLEXNETS_CHECK(total <= std::numeric_limits<int>::max(),
+                   "server total overflows the int server ids");
+    first_server_[s + 1] = static_cast<int>(total);
   }
-
-  auto fresh = std::make_unique<ServerIndex>();
-  fresh->first_server.resize(servers_per_switch.size() + 1, 0);
-  for (std::size_t s = 0; s < servers_per_switch.size(); ++s) {
-    fresh->first_server[s + 1] =
-        fresh->first_server[s] + servers_per_switch[s];
-    if (servers_per_switch[s] > 0) {
-      fresh->tor_list.push_back(static_cast<NodeId>(s));
-    }
-  }
-
-  // Install unless another thread won the race; both computed the same
-  // index from the same (immutable-by-now) fields, so either copy serves.
-  const ServerIndex* expected = nullptr;
-  if (server_index_cache_.compare_exchange_strong(
-          expected, fresh.get(), std::memory_order_acq_rel,
-          std::memory_order_acquire)) {
-    return *fresh.release();
-  }
-  return *expected;
 }
 
-int Topology::num_servers() const {
-  return server_index().first_server.back();
+std::vector<NodeId> Topology::tors() const {
+  std::vector<NodeId> out;
+  for (NodeId s = 0; s < num_switches(); ++s) {
+    if (servers_per_switch_[static_cast<std::size_t>(s)] > 0) out.push_back(s);
+  }
+  return out;
 }
-
-std::vector<NodeId> Topology::tors() const { return server_index().tor_list; }
 
 NodeId Topology::switch_of_server(int server) const {
-  const auto& index = server_index();
-  assert(server >= 0 && server < index.first_server.back());
+  FLEXNETS_CHECK(server >= 0 && server < num_servers(),
+                 "server id out of range: ", server);
   // First offset strictly greater than `server`, minus one: the owning
   // switch (empty switches have zero-width ranges upper_bound skips past).
-  const auto it = std::upper_bound(index.first_server.begin(),
-                                   index.first_server.end(), server);
-  return static_cast<NodeId>((it - index.first_server.begin()) - 1);
-}
-
-int Topology::first_server_of_switch(NodeId sw) const {
-  return server_index().first_server[static_cast<std::size_t>(sw)];
+  const auto it =
+      std::upper_bound(first_server_.begin(), first_server_.end(), server);
+  return static_cast<NodeId>((it - first_server_.begin()) - 1);
 }
 
 bool Topology::fits_radix(int radix) const {
   for (NodeId s = 0; s < num_switches(); ++s) {
-    if (g.degree(s) + servers_per_switch[s] > radix) return false;
+    if (g.degree(s) + servers_per_switch_[static_cast<std::size_t>(s)] >
+        radix) {
+      return false;
+    }
   }
   return true;
+}
+
+std::uint64_t Topology::digest() const {
+  Digest d;
+  d.mix(static_cast<std::uint64_t>(num_switches()));
+  for (const auto& e : g.edges()) {
+    d.mix(static_cast<std::uint64_t>(e.a));
+    d.mix(static_cast<std::uint64_t>(e.b));
+  }
+  return d.value();
 }
 
 }  // namespace flexnets::topo

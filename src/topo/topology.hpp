@@ -3,11 +3,10 @@
 // switches in switch-id order (switch 0's servers first, and so on).
 #pragma once
 
-#include <atomic>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/annotations.hpp"
 #include "graph/graph.hpp"
 
 namespace flexnets::topo {
@@ -16,52 +15,45 @@ using graph::NodeId;
 
 struct Topology {
   std::string name;
-  graph::Graph g;                      // switch-to-switch network links
-  std::vector<int> servers_per_switch;  // indexed by switch id
+  graph::Graph g;  // switch-to-switch network links
 
   Topology() = default;
-  ~Topology();
-  Topology(const Topology& other);
-  Topology(Topology&& other) noexcept;
-  Topology& operator=(const Topology& other);
-  Topology& operator=(Topology&& other) noexcept;
+  // `servers_per_switch` is indexed by switch id and must have one
+  // non-negative entry per node of `g` (FLEXNETS_CHECK).
+  Topology(std::string name, graph::Graph g,
+           std::vector<int> servers_per_switch);
 
   [[nodiscard]] int num_switches() const { return g.num_nodes(); }
-  [[nodiscard]] int num_servers() const;
+  [[nodiscard]] int num_servers() const { return first_server_.back(); }
   [[nodiscard]] int num_network_links() const { return g.num_edges(); }
+  [[nodiscard]] const std::vector<int>& servers_per_switch() const {
+    return servers_per_switch_;
+  }
 
-  // Switches that host at least one server (the ToRs).
+  // Switches that host at least one server (the ToRs), ascending.
   [[nodiscard]] std::vector<NodeId> tors() const;
 
-  // Switch hosting global server id `s`, and the dense per-switch offsets.
-  // Both run on a lazily built dense offset table (binary search /
-  // O(1) lookup) instead of rescanning servers_per_switch per call — the
-  // rescans were quadratic in aggregate and dominated at 100k switches.
+  // Switch hosting global server id `s` (binary search over the server
+  // offsets), and the first server id of switch `sw` (O(1)).
   [[nodiscard]] NodeId switch_of_server(int server) const;
-  [[nodiscard]] int first_server_of_switch(NodeId sw) const;
+  [[nodiscard]] int first_server_of_switch(NodeId sw) const {
+    return first_server_[static_cast<std::size_t>(sw)];
+  }
 
   // Sanity check: every switch's (network degree + servers) fits `radix`.
   [[nodiscard]] bool fits_radix(int radix) const;
 
- private:
-  // Derived index over servers_per_switch, built on first use.
-  struct ServerIndex {
-    std::vector<int> first_server;  // prefix sums, size num_switches + 1
-    std::vector<NodeId> tor_list;   // switches hosting >= 1 server
-  };
+  // Fingerprint of the wiring: the switch count, then every edge's
+  // endpoints in edge-id order. The fluid engine's cache audits compare
+  // it; tests pin it per generator.
+  [[nodiscard]] std::uint64_t digest() const;
 
-  // Lazy cache of the derived index. Topology is mutated freely during
-  // construction (generators assign fields directly), then treated as
-  // immutable by the evaluation paths — some of which share one const
-  // Topology across sweep threads. First caller builds the index and
-  // installs it with a compare-exchange; a concurrent loser deletes its
-  // copy and uses the winner's, so the pointer is write-once thereafter.
-  // Mutating copies/moves reset the cache (see topology.cpp). Under
-  // FLEXNETS_AUDIT every hit is revalidated against servers_per_switch to
-  // catch in-place mutation after first use.
-  [[nodiscard]] const ServerIndex& server_index() const;
-  mutable std::atomic<const ServerIndex*> server_index_cache_
-      FLEXNETS_ATOMIC_SHARED{nullptr};
+ private:
+  // Read-only after construction, so the offsets below can never go stale.
+  std::vector<int> servers_per_switch_;
+  // Prefix sums: switch s hosts servers [first_server_[s],
+  // first_server_[s + 1]). Size num_switches + 1.
+  std::vector<int> first_server_{0};
 };
 
 }  // namespace flexnets::topo

@@ -1,5 +1,8 @@
 #include "topo/toy.hpp"
 
+#include <utility>
+#include <vector>
+
 #include "topo/fat_tree.hpp"
 
 namespace flexnets::topo {
@@ -11,18 +14,16 @@ ToyTopology toy_section41() {
   const int ft_switches = ft.topo.num_switches();  // 45
 
   ToyTopology toy;
-  toy.topo.name = "toy-4.1";
-  toy.topo.g = graph::Graph(ft_switches + 9);
-  toy.topo.servers_per_switch.assign(static_cast<std::size_t>(ft_switches + 9), 0);
+  std::vector<int> servers(static_cast<std::size_t>(ft_switches + 9), 0);
 
   // Copy fat-tree wiring; its switches keep ids [0, 45).
-  for (const auto& e : ft.topo.g.edges()) toy.topo.g.add_edge(e.a, e.b);
+  std::vector<graph::Edge> links = ft.topo.g.edges();
 
   // Active ToRs are ids [45, 54), each with 6 servers and 6 network ports.
   for (int i = 0; i < 9; ++i) {
     const NodeId tor = ft_switches + i;
     toy.active_tors.push_back(tor);
-    toy.topo.servers_per_switch[tor] = 6;
+    servers[tor] = 6;
   }
 
   // Wire each fat-tree edge switch's 3 exposed ports to active ToRs in any
@@ -32,9 +33,12 @@ ToyTopology toy_section41() {
   for (NodeId e = 0; e < ft.layout.num_edge; ++e) {
     for (int p = 0; p < 3; ++p) {
       const NodeId tor = ft_switches + (static_cast<int>(e) * 3 + p) % 9;
-      toy.topo.g.add_edge(e, tor);
+      links.push_back({e, tor});
     }
   }
+  toy.topo = Topology("toy-4.1",
+                      graph::Graph(ft_switches + 9, std::move(links)),
+                      std::move(servers));
   return toy;
 }
 

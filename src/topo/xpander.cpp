@@ -13,15 +13,12 @@ namespace flexnets::topo {
 namespace {
 
 // The lift construction's edge list in canonical (meta-pair, port) order.
-// Both the multigraph and the CSR builders consume this, so the two
-// representations stay edge-for-edge identical for identical seeds.
-std::vector<std::pair<NodeId, NodeId>> xpander_links(int network_degree,
-                                                     int lift,
-                                                     std::uint64_t seed) {
+std::vector<graph::Edge> xpander_links(int network_degree, int lift,
+                                       std::uint64_t seed) {
   assert(network_degree >= 1 && lift >= 1);
   const int meta = network_degree + 1;
   Rng rng(splitmix64(seed ^ 0x587061ULL));  // "Xpa"
-  std::vector<std::pair<NodeId, NodeId>> links;
+  std::vector<graph::Edge> links;
   links.reserve(static_cast<std::size_t>(meta) * (meta - 1) / 2 *
                 static_cast<std::size_t>(lift));
   std::vector<int> perm(static_cast<std::size_t>(lift));
@@ -30,7 +27,7 @@ std::vector<std::pair<NodeId, NodeId>> xpander_links(int network_degree,
       std::iota(perm.begin(), perm.end(), 0);
       rng.shuffle(perm);
       for (int a = 0; a < lift; ++a) {
-        links.emplace_back(i * lift + a, j * lift + perm[a]);
+        links.push_back({i * lift + a, j * lift + perm[a]});
       }
     }
   }
@@ -51,24 +48,11 @@ Xpander xpander(int network_degree, int lift, int servers_per_switch,
   Xpander x;
   x.network_degree = network_degree;
   x.lift = lift;
-  x.topo.name = xpander_name(network_degree, lift);
-  x.topo.g = graph::Graph(n);
-  x.topo.servers_per_switch.assign(static_cast<std::size_t>(n),
-                                   servers_per_switch);
-  for (const auto& [a, b] : xpander_links(network_degree, lift, seed)) {
-    x.topo.g.add_edge(a, b);
-  }
+  x.topo = Topology(
+      xpander_name(network_degree, lift),
+      graph::Graph(n, xpander_links(network_degree, lift, seed)),
+      std::vector<int>(static_cast<std::size_t>(n), servers_per_switch));
   return x;
-}
-
-CsrTopology xpander_csr(int network_degree, int lift, int servers_per_switch,
-                        std::uint64_t seed) {
-  const int n = (network_degree + 1) * lift;
-  return CsrTopology::build(
-      xpander_name(network_degree, lift), n,
-      xpander_links(network_degree, lift, seed),
-      std::vector<std::int32_t>(static_cast<std::size_t>(n),
-                                servers_per_switch));
 }
 
 Topology xpander_for(int num_switches, int network_degree,
@@ -79,19 +63,6 @@ Topology xpander_for(int num_switches, int network_degree,
     return std::move(x.topo);
   }
   auto t = jellyfish(num_switches, network_degree, servers_per_switch, seed);
-  t.name = "xpander-rrg(n=" + std::to_string(num_switches) +
-           ",d=" + std::to_string(network_degree) + ")";
-  return t;
-}
-
-CsrTopology xpander_for_csr(int num_switches, int network_degree,
-                            int servers_per_switch, std::uint64_t seed) {
-  if (num_switches % (network_degree + 1) == 0) {
-    return xpander_csr(network_degree, num_switches / (network_degree + 1),
-                       servers_per_switch, seed);
-  }
-  auto t = jellyfish_csr(num_switches, network_degree, servers_per_switch,
-                         seed);
   t.name = "xpander-rrg(n=" + std::to_string(num_switches) +
            ",d=" + std::to_string(network_degree) + ")";
   return t;

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 
-#include "topo/csr/csr_topology.hpp"
 #include "topo/topology.hpp"
 
 namespace flexnets::topo {
@@ -34,14 +33,5 @@ Xpander xpander(int network_degree, int lift, int servers_per_switch,
 // as such), which the paper reports performs identically (section 5).
 Topology xpander_for(int num_switches, int network_degree,
                      int servers_per_switch, std::uint64_t seed);
-
-// Flat-representation twins of the two entries above: same seeds produce
-// the same wiring (the lift's edge list is shared), built straight into
-// pre-sized CSR arrays for hyperscale evaluation. The `_for` variant falls
-// back to jellyfish_csr exactly as xpander_for falls back to jellyfish.
-CsrTopology xpander_csr(int network_degree, int lift, int servers_per_switch,
-                        std::uint64_t seed);
-CsrTopology xpander_for_csr(int num_switches, int network_degree,
-                            int servers_per_switch, std::uint64_t seed);
 
 }  // namespace flexnets::topo

@@ -13,7 +13,7 @@ namespace {
 int random_server_on(const topo::Topology& t, topo::NodeId rack, Rng& rng,
                      int exclude = -1) {
   const int base = t.first_server_of_switch(rack);
-  const int count = t.servers_per_switch[rack];
+  const int count = t.servers_per_switch()[rack];
   assert(count > 0);
   for (;;) {
     const int s = base + static_cast<int>(rng.next_u64(
@@ -27,7 +27,7 @@ class A2APairs final : public PairDistribution {
   A2APairs(const topo::Topology& t, std::vector<topo::NodeId> active)
       : t_(t), active_(std::move(active)) {
     assert(active_.size() >= 2 ||
-           (active_.size() == 1 && t_.servers_per_switch[active_[0]] >= 2));
+           (active_.size() == 1 && t_.servers_per_switch()[active_[0]] >= 2));
   }
 
   [[nodiscard]] ServerPair sample(Rng& rng) const override {
@@ -191,8 +191,8 @@ class TwoRackPairs final : public PairDistribution {
                int servers_per_rack)
       : t_(t), active_{a, b}, count_(servers_per_rack) {
     assert(count_ >= 1);
-    assert(count_ <= t.servers_per_switch[a]);
-    assert(count_ <= t.servers_per_switch[b]);
+    assert(count_ <= t.servers_per_switch()[a]);
+    assert(count_ <= t.servers_per_switch()[b]);
   }
 
   [[nodiscard]] ServerPair sample(Rng& rng) const override {

@@ -16,8 +16,8 @@
 #include "common/status.hpp"
 #include "flow/bracket.hpp"
 #include "flow/throughput.hpp"
+#include "flow/tm_generators.hpp"
 #include "flow/tm_view.hpp"
-#include "topo/csr_build.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/jellyfish.hpp"
 #include "topo/xpander.hpp"
@@ -28,7 +28,7 @@ namespace {
 constexpr double kEps = 0.1;
 constexpr double kTol = 1e-9;
 
-void expect_bracket_contains_gk(const topo::CsrTopology& t, const TmView& tm,
+void expect_bracket_contains_gk(const topo::Topology& t, const TmView& tm,
                                 const std::string& label) {
   AuditScope audit(true);
   const auto br = throughput_bracket(t, tm);
@@ -48,37 +48,39 @@ void expect_bracket_contains_gk(const topo::CsrTopology& t, const TmView& tm,
       << gk.lambda;
 }
 
-void expect_bracket_on_standard_tms(const topo::CsrTopology& t,
+void expect_bracket_on_standard_tms(const topo::Topology& t,
                                     const std::string& label) {
   expect_bracket_contains_gk(t, all_to_all_view(t, t.tors()),
                              label + "/a2a");
-  const auto active = pick_active_racks_csr(
-      t, static_cast<int>(t.tors().size()) / 2, 7);
-  expect_bracket_contains_gk(t, random_permutation_view(t, active, 7),
-                             label + "/permutation");
-  expect_bracket_contains_gk(t, longest_matching_view(t, active),
-                             label + "/matching");
+  const auto active =
+      pick_active_racks(t, static_cast<int>(t.tors().size()) / 2, 7);
+  expect_bracket_contains_gk(
+      t, TmView::from_traffic_matrix(random_permutation_tm(t, active, 7)),
+      label + "/permutation");
+  expect_bracket_contains_gk(
+      t, TmView::from_traffic_matrix(longest_matching_tm(t, active)),
+      label + "/matching");
 }
 
 TEST(Bracket, ContainsGkOnJellyfish) {
-  expect_bracket_on_standard_tms(topo::jellyfish_csr(50, 7, 6, 1),
+  expect_bracket_on_standard_tms(topo::jellyfish(50, 7, 6, 1),
                                  "jellyfish50x7");
-  expect_bracket_on_standard_tms(topo::jellyfish_csr(32, 5, 4, 3),
+  expect_bracket_on_standard_tms(topo::jellyfish(32, 5, 4, 3),
                                  "jellyfish32x5");
 }
 
 TEST(Bracket, ContainsGkOnXpander) {
-  expect_bracket_on_standard_tms(topo::xpander_csr(5, 9, 6, 1), "xpander54x5");
+  expect_bracket_on_standard_tms(topo::xpander(5, 9, 6, 1).topo, "xpander54x5");
 }
 
 TEST(Bracket, ContainsGkOnFatTree) {
-  expect_bracket_on_standard_tms(topo::fat_tree_csr(8), "fattree8");
-  expect_bracket_on_standard_tms(topo::fat_tree_stripped_csr(8, 7),
+  expect_bracket_on_standard_tms(topo::fat_tree(8).topo, "fattree8");
+  expect_bracket_on_standard_tms(topo::fat_tree_stripped(8, 7).topo,
                                  "fattree8stripped");
 }
 
 TEST(Bracket, EmptyTmBracketsToZero) {
-  const auto t = topo::jellyfish_csr(16, 4, 2, 1);
+  const auto t = topo::jellyfish(16, 4, 2, 1);
   const auto br = throughput_bracket(t, TmView::explicit_pairs({}));
   EXPECT_TRUE(br.status.ok());
   EXPECT_EQ(br.lower, 0.0);
@@ -86,7 +88,7 @@ TEST(Bracket, EmptyTmBracketsToZero) {
 }
 
 TEST(Bracket, DeterministicInOptions) {
-  const auto t = topo::jellyfish_csr(40, 6, 4, 2);
+  const auto t = topo::jellyfish(40, 6, 4, 2);
   const auto view = all_to_all_view(t, t.tors());
   const auto a = throughput_bracket(t, view);
   const auto b = throughput_bracket(t, view);
@@ -96,7 +98,7 @@ TEST(Bracket, DeterministicInOptions) {
 }
 
 TEST(Bracket, UpperIsTheMinimumOfItsComponents) {
-  const auto t = topo::jellyfish_csr(50, 7, 6, 4);
+  const auto t = topo::jellyfish(50, 7, 6, 4);
   const auto br = throughput_bracket(t, all_to_all_view(t, t.tors()));
   EXPECT_LE(br.upper, br.upper_node_cut + kTol);
   EXPECT_LE(br.upper, br.upper_spectral_cut + kTol);
@@ -107,7 +109,7 @@ TEST(Bracket, MoreTreesNeverLoosenTheLowerBoundMuch) {
   // The lower bound is a feasible routing; more trees is a different
   // feasible routing, still a valid lower bound — both must stay inside
   // the (shared) upper.
-  const auto t = topo::jellyfish_csr(40, 6, 4, 5);
+  const auto t = topo::jellyfish(40, 6, 4, 5);
   const auto view = all_to_all_view(t, t.tors());
   BracketOptions one;
   one.num_trees = 1;
@@ -125,8 +127,9 @@ TEST(Bracket, PartitionedDemandIsExactlyZero) {
   // Two disjoint triangles, demand crossing between them: no routing
   // exists, so the bracket collapses to the exact answer [0, 0] with the
   // structured kPartitioned status.
-  topo::CsrTopology t = topo::CsrTopology::build(
-      "split", 6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}},
+  const topo::Topology t(
+      "split",
+      graph::Graph(6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}}),
       {1, 1, 1, 1, 1, 1});
   const auto crossing = TmView::explicit_pairs({{0, 3, 1.0}});
   const auto br = throughput_bracket(t, crossing);
@@ -147,7 +150,7 @@ TEST(Bracket, FatTreeAllToAllIsNearOne) {
   // Sanity anchor: a full-bandwidth fat-tree routes all-to-all at lambda 1;
   // the upper bound must not cut below that and the constructive lower
   // must find a nonzero feasible routing.
-  const auto t = topo::fat_tree_csr(8);
+  const auto t = topo::fat_tree(8).topo;
   const auto br = throughput_bracket(t, all_to_all_view(t, t.tors()));
   EXPECT_GE(br.upper, 1.0 - kTol);
   EXPECT_GT(br.lower, 0.0);

@@ -1,8 +1,8 @@
-// TmView differential suite: the streaming/implicit TM against the
-// materialized generators. The contract is exact — same active racks, same
-// commodity stream in the same order with the same double bits — plus
-// consistency of the closed-form aggregates and the commodity-cap guard on
-// the GK materialization path.
+// TmView suite: the streaming/implicit TM against the materialized
+// generators on one topology. The contract is exact — same commodity
+// stream in the same order with the same double bits, so the same GK
+// instance and lambda — plus consistency of the closed-form aggregates and
+// the commodity-cap guard on the GK materialization path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@
 #include "flow/throughput.hpp"
 #include "flow/tm_generators.hpp"
 #include "flow/tm_view.hpp"
-#include "topo/csr_build.hpp"
 #include "topo/jellyfish.hpp"
 
 namespace flexnets::flow {
@@ -21,7 +20,7 @@ namespace {
 
 std::vector<Commodity> stream(const TmView& view) {
   std::vector<Commodity> out;
-  view.for_each([&](topo::CsrNodeId src, topo::CsrNodeId dst, double d) {
+  view.for_each([&](topo::NodeId src, topo::NodeId dst, double d) {
     out.push_back({src, dst, d});
   });
   return out;
@@ -40,80 +39,61 @@ void expect_same_stream(const TrafficMatrix& tm, const TmView& view) {
   }
 }
 
-struct Twin {
-  topo::Topology oracle;
-  topo::CsrTopology csr;
-};
-
-Twin jellyfish_twin(int n, int degree, int servers, std::uint64_t seed) {
-  Twin t;
-  t.oracle = topo::jellyfish(n, degree, servers, seed);
-  t.csr = topo::csr_from(t.oracle);
-  return t;
-}
-
 TEST(TmView, ActiveRackSelectionMatchesOracle) {
-  const auto t = jellyfish_twin(40, 5, 4, 6);
-  const auto want = pick_active_racks(t.oracle, 17, 9);
-  const auto got = pick_active_racks_csr(t.csr, 17, 9);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want[i]);
+  // perfbench picks racks through the _csr name; it must be the same draw.
+  const auto t = topo::jellyfish(40, 5, 4, 6);
+  EXPECT_EQ(pick_active_racks_csr(t, 17, 9), pick_active_racks(t, 17, 9));
 }
 
 TEST(TmView, AllToAllStreamsTheMaterializedOrder) {
-  const auto t = jellyfish_twin(24, 4, 3, 1);
-  const auto active = pick_active_racks(t.oracle, 12, 2);
-  const auto active_csr = pick_active_racks_csr(t.csr, 12, 2);
-  expect_same_stream(all_to_all_tm(t.oracle, active),
-                     all_to_all_view(t.csr, active_csr));
+  const auto t = topo::jellyfish(24, 4, 3, 1);
+  const auto active = pick_active_racks(t, 12, 2);
+  expect_same_stream(all_to_all_tm(t, active), all_to_all_view(t, active));
 }
 
+// The explicit families reach TmView by wrapping their materialized
+// builders; the wrap must keep each family's order and bits.
 TEST(TmView, PermutationStreamsTheMaterializedOrder) {
-  const auto t = jellyfish_twin(24, 4, 3, 1);
-  const auto active = pick_active_racks(t.oracle, 12, 5);
-  const auto active_csr = pick_active_racks_csr(t.csr, 12, 5);
-  expect_same_stream(random_permutation_tm(t.oracle, active, 5),
-                     random_permutation_view(t.csr, active_csr, 5));
+  const auto t = topo::jellyfish(24, 4, 3, 1);
+  const auto tm = random_permutation_tm(t, pick_active_racks(t, 12, 5), 5);
+  expect_same_stream(tm, TmView::from_traffic_matrix(tm));
 }
 
 TEST(TmView, LongestMatchingStreamsTheMaterializedOrder) {
-  const auto t = jellyfish_twin(24, 4, 3, 1);
-  const auto active = pick_active_racks(t.oracle, 16, 3);
-  const auto active_csr = pick_active_racks_csr(t.csr, 16, 3);
-  expect_same_stream(longest_matching_tm(t.oracle, active),
-                     longest_matching_view(t.csr, active_csr));
+  const auto t = topo::jellyfish(24, 4, 3, 1);
+  const auto tm = longest_matching_tm(t, pick_active_racks(t, 16, 3));
+  expect_same_stream(tm, TmView::from_traffic_matrix(tm));
 }
 
 TEST(TmView, FromTrafficMatrixIsAnExactAdapter) {
-  const auto t = jellyfish_twin(16, 4, 2, 8);
-  const auto tm = random_permutation_tm(t.oracle, t.oracle.tors(), 4);
+  const auto t = topo::jellyfish(16, 4, 2, 8);
+  const auto tm = random_permutation_tm(t, t.tors(), 4);
   expect_same_stream(tm, TmView::from_traffic_matrix(tm));
 }
 
 TEST(TmView, EmptyViews) {
-  const auto t = jellyfish_twin(8, 3, 2, 1);
-  EXPECT_TRUE(all_to_all_view(t.csr, {}).empty());
-  EXPECT_TRUE(all_to_all_view(t.csr, {3}).empty());  // < 2 active racks
+  const auto t = topo::jellyfish(8, 3, 2, 1);
+  EXPECT_TRUE(all_to_all_view(t, {}).empty());
+  EXPECT_TRUE(all_to_all_view(t, {3}).empty());  // < 2 active racks
   EXPECT_TRUE(TmView::explicit_pairs({}).empty());
 }
 
 TEST(TmView, ClosedFormAggregatesMatchEnumeration) {
-  const auto t = jellyfish_twin(30, 5, 4, 2);
-  const auto active_csr = pick_active_racks_csr(t.csr, 20, 7);
-  const auto view = all_to_all_view(t.csr, active_csr);
+  const auto t = topo::jellyfish(30, 5, 4, 2);
+  const auto view = all_to_all_view(t, pick_active_racks(t, 20, 7));
 
   double total = 0.0;
-  std::vector<double> out(static_cast<std::size_t>(t.csr.num_switches), 0.0);
+  std::vector<double> out(static_cast<std::size_t>(t.num_switches()), 0.0);
   std::vector<double> in(out.size(), 0.0);
-  view.for_each([&](topo::CsrNodeId src, topo::CsrNodeId dst, double d) {
+  view.for_each([&](topo::NodeId src, topo::NodeId dst, double d) {
     total += d;
     out[static_cast<std::size_t>(src)] += d;
     in[static_cast<std::size_t>(dst)] += d;
   });
 
   EXPECT_NEAR(view.total_demand(), total, 1e-9 * (1.0 + total));
-  const auto hose_out = view.hose_out_demand(t.csr.num_switches);
-  const auto hose_in = view.hose_in_demand(t.csr.num_switches);
+  const auto hose_out = view.hose_out_demand(t.num_switches());
+  const auto hose_in = view.hose_in_demand(t.num_switches());
   for (std::size_t s = 0; s < out.size(); ++s) {
     EXPECT_NEAR(hose_out[s], out[s], 1e-9 * (1.0 + out[s])) << "switch " << s;
     EXPECT_NEAR(hose_in[s], in[s], 1e-9 * (1.0 + in[s])) << "switch " << s;
@@ -123,7 +103,7 @@ TEST(TmView, ClosedFormAggregatesMatchEnumeration) {
   std::vector<char> side(out.size(), 0);
   for (std::size_t s = 0; s < side.size(); s += 3) side[s] = 1;
   double across = 0.0;
-  view.for_each([&](topo::CsrNodeId src, topo::CsrNodeId dst, double d) {
+  view.for_each([&](topo::NodeId src, topo::NodeId dst, double d) {
     if (side[static_cast<std::size_t>(src)] &&
         !side[static_cast<std::size_t>(dst)]) {
       across += d;
@@ -133,16 +113,13 @@ TEST(TmView, ClosedFormAggregatesMatchEnumeration) {
 }
 
 TEST(TmView, GkInstanceIsBitIdenticalToMaterializedPath) {
-  const auto t = jellyfish_twin(32, 6, 4, 1);
-  const auto tm = all_to_all_tm(t.oracle, t.oracle.tors());
-  const auto view = all_to_all_view(t.csr, t.csr.tors());
+  const auto t = topo::jellyfish(32, 6, 4, 1);
+  const auto tm = all_to_all_tm(t, t.tors());
+  const auto view = all_to_all_view(t, t.tors());
 
-  const auto cache = build_throughput_cache(t.oracle);
-  const auto cache_csr = build_throughput_cache(t.csr);
-  ASSERT_EQ(cache.topo_digest, cache_csr.topo_digest);
-
+  const auto cache = build_throughput_cache(t);
   const auto want = build_mcf_instance(cache, tm);
-  const auto got = build_mcf_instance(cache_csr, view);
+  const auto got = build_mcf_instance(cache, view);
   ASSERT_TRUE(got.ok()) << got.status().to_string();
   ASSERT_EQ(got->num_nodes, want.num_nodes);
   ASSERT_EQ(got->edges.size(), want.edges.size());
@@ -160,9 +137,9 @@ TEST(TmView, GkInstanceIsBitIdenticalToMaterializedPath) {
 }
 
 TEST(TmView, CommodityCapRefusesAsStructuredInvalidInput) {
-  const auto t = jellyfish_twin(16, 4, 2, 1);
-  const auto view = all_to_all_view(t.csr, t.csr.tors());
-  const auto cache = build_throughput_cache(t.csr);
+  const auto t = topo::jellyfish(16, 4, 2, 1);
+  const auto view = all_to_all_view(t, t.tors());
+  const auto cache = build_throughput_cache(t);
 
   // 16 racks all-to-all = 240 commodities; a cap of 100 must refuse
   // without materializing anything.
@@ -172,7 +149,7 @@ TEST(TmView, CommodityCapRefusesAsStructuredInvalidInput) {
 
   // The budgeted entry surfaces the same refusal as (lambda 0, status).
   const auto r =
-      per_server_throughput_budgeted(t.csr, view, {0.1, {}}, cache, 100);
+      per_server_throughput_budgeted(t, view, {0.1, {}}, cache, 100);
   EXPECT_EQ(r.lambda, 0.0);
   EXPECT_EQ(r.status.code(), StatusCode::kInvalidInput);
 
@@ -181,21 +158,18 @@ TEST(TmView, CommodityCapRefusesAsStructuredInvalidInput) {
 }
 
 TEST(TmView, GkLambdaBitIdenticalThroughCsrPath) {
-  const auto t = jellyfish_twin(32, 6, 4, 1);
+  const auto t = topo::jellyfish(32, 6, 4, 1);
   const ThroughputOptions opts{0.1, {}};
 
-  const auto tm = all_to_all_tm(t.oracle, t.oracle.tors());
-  const auto view = all_to_all_view(t.csr, t.csr.tors());
-  const double want = per_server_throughput(t.oracle, tm, opts);
-  const double got = per_server_throughput(t.csr, view, opts);
+  const auto tm = all_to_all_tm(t, t.tors());
+  const double want = per_server_throughput(t, tm, opts);
+  const double got =
+      per_server_throughput(t, all_to_all_view(t, t.tors()), opts);
   EXPECT_EQ(got, want);  // exact double equality, not NEAR
 
-  const auto active = pick_active_racks(t.oracle, 16, 7);
-  const auto active_csr = pick_active_racks_csr(t.csr, 16, 7);
-  const auto perm = random_permutation_tm(t.oracle, active, 7);
-  const auto perm_view = random_permutation_view(t.csr, active_csr, 7);
-  EXPECT_EQ(per_server_throughput(t.csr, perm_view, opts),
-            per_server_throughput(t.oracle, perm, opts));
+  const auto perm = random_permutation_tm(t, pick_active_racks(t, 16, 7), 7);
+  EXPECT_EQ(per_server_throughput(t, TmView::from_traffic_matrix(perm), opts),
+            per_server_throughput(t, perm, opts));
 }
 
 }  // namespace

@@ -33,7 +33,7 @@ class FaultTest : public ::testing::Test {
 topo::NodeId tor_of(const topo::Topology& t, int server) {
   for (topo::NodeId sw = 0; sw < t.num_switches(); ++sw) {
     const int first = t.first_server_of_switch(sw);
-    if (server >= first && server < first + t.servers_per_switch[sw]) {
+    if (server >= first && server < first + t.servers_per_switch()[sw]) {
       return sw;
     }
   }

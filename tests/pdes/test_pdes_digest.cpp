@@ -218,7 +218,7 @@ TEST_F(PdesPartitionTest, PartitionCoversEveryNodeAndColocatesHosts) {
     // Hosts live with their ToR.
     int server = 0;
     for (graph::NodeId sw = 0; sw < t.num_switches(); ++sw) {
-      for (int i = 0; i < t.servers_per_switch[sw]; ++i, ++server) {
+      for (int i = 0; i < t.servers_per_switch()[sw]; ++i, ++server) {
         EXPECT_EQ(part.lp_of(t.num_switches() + server), part.lp_of(sw));
       }
     }

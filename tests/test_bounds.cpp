@@ -13,10 +13,7 @@ namespace flexnets::flow {
 namespace {
 
 TEST(PathLengthBound, TwoSwitchExact) {
-  topo::Topology t;
-  t.g = graph::Graph(2);
-  t.g.add_edge(0, 1);
-  t.servers_per_switch = {4, 4};
+  const topo::Topology t("two", graph::Graph(2, {{0, 1}}), {4, 4});
   TrafficMatrix tm;
   tm.commodities = {{0, 1, 4.0}, {1, 0, 4.0}};
   // Capacity 2 (directed), consumption 8 -> bound 0.25, which is tight.
@@ -40,16 +37,16 @@ TEST(PathLengthBound, ToyExampleMatchesPaper) {
   // all-to-all-ish worst case. Build the degree-6 complete-ish graph on 9
   // nodes (K9 minus nothing has degree 8; use the Moore-style bound via a
   // circulant degree-6 graph) and check the bound is ~0.8.
-  topo::Topology t;
-  t.g = graph::Graph(9);
   // Circulant graph C9(1,2,3): degree 6.
+  std::vector<graph::Edge> edges;
   for (int i = 0; i < 9; ++i) {
     for (int off : {1, 2, 3}) {
       const int j = (i + off) % 9;
-      t.g.add_edge(i, j);
+      edges.push_back({i, j});
     }
   }
-  t.servers_per_switch.assign(9, 6);
+  const topo::Topology t("C9(1,2,3)", graph::Graph(9, std::move(edges)),
+                         std::vector<int>(9, 6));
   const auto tm = all_to_all_tm(t, t.tors());
   // capacity = 2*27 = 54; consumption = sum over ordered pairs of
   // demand * dist: per node, 6 at dist 1, 2 at dist 2 -> per-node demand 6

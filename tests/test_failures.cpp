@@ -10,6 +10,12 @@
 namespace flexnets::topo {
 namespace {
 
+// Five switches in a path, one server each.
+Topology path_topology() {
+  return Topology("path", graph::Graph(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}}),
+                  std::vector<int>(5, 1));
+}
+
 TEST(Failures, RemovesRequestedFractionAndStaysConnected) {
   const auto x = xpander(5, 9, 3, 1);
   const auto degraded = with_failed_links(x.topo, 0.2, 7);
@@ -17,7 +23,7 @@ TEST(Failures, RemovesRequestedFractionAndStaysConnected) {
             x.topo.num_network_links() -
                 static_cast<int>(0.2 * x.topo.num_network_links()));
   EXPECT_TRUE(graph::is_connected(degraded.g));
-  EXPECT_EQ(degraded.servers_per_switch, x.topo.servers_per_switch);
+  EXPECT_EQ(degraded.servers_per_switch(), x.topo.servers_per_switch());
   EXPECT_NE(degraded.name.find("failures"), std::string::npos);
 }
 
@@ -46,11 +52,7 @@ TEST(Failures, DeterministicInSeed) {
 
 TEST(Failures, KeepsCutEdges) {
   // A path graph: no edge can be removed without disconnecting.
-  Topology t;
-  t.name = "path";
-  t.g = graph::Graph(5);
-  for (graph::NodeId i = 0; i + 1 < 5; ++i) t.g.add_edge(i, i + 1);
-  t.servers_per_switch.assign(5, 1);
+  const Topology t = path_topology();
   const auto degraded = with_failed_links(t, 0.5, 3);
   EXPECT_EQ(degraded.num_network_links(), 4);
   EXPECT_TRUE(graph::is_connected(degraded.g));
@@ -60,11 +62,7 @@ TEST(Failures, NonPreservingModeRemovesExactCountEvenAcrossCuts) {
   // Same path graph: preserving mode must keep all 4 edges, while the
   // opt-in non-preserving mode removes exactly floor(0.5 * 4) = 2 and is
   // allowed to partition.
-  Topology t;
-  t.name = "path";
-  t.g = graph::Graph(5);
-  for (graph::NodeId i = 0; i + 1 < 5; ++i) t.g.add_edge(i, i + 1);
-  t.servers_per_switch.assign(5, 1);
+  const Topology t = path_topology();
   FailureOptions opt;
   opt.preserve_connectivity = false;
   const auto degraded = with_failed_links(t, 0.5, 3, opt);
@@ -90,7 +88,7 @@ TEST(SwitchFailures, SparesTorsAndStaysConnectedByDefault) {
   const auto ft = fat_tree(4);
   const auto degraded = with_failed_switches(ft.topo, 3, 11);
   EXPECT_EQ(degraded.num_switches(), ft.topo.num_switches());  // ids stable
-  EXPECT_EQ(degraded.servers_per_switch, ft.topo.servers_per_switch);
+  EXPECT_EQ(degraded.servers_per_switch(), ft.topo.servers_per_switch());
   EXPECT_LT(degraded.num_network_links(), ft.topo.num_network_links());
   EXPECT_NE(degraded.name.find("switch-failures(3)"), std::string::npos);
   // Dead switches are isolated; everyone with a link is one component.
@@ -114,7 +112,7 @@ TEST(SwitchFailures, TorFailureDropsItsServersWhenAllowed) {
   EXPECT_EQ(degraded.num_servers(), x.topo.num_servers() - 2 * 2);
   int emptied = 0;
   for (graph::NodeId n = 0; n < degraded.num_switches(); ++n) {
-    if (degraded.servers_per_switch[n] == 0) {
+    if (degraded.servers_per_switch()[n] == 0) {
       ++emptied;
       EXPECT_EQ(degraded.g.degree(n), 0);  // all its links died with it
     }

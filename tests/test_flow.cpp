@@ -37,12 +37,9 @@ TEST(TmGenerators, LongestMatchingPairsEveryRackBothDirections) {
 
 TEST(TmGenerators, LongestMatchingPrefersDistantRacks) {
   // On a long path graph, matching 0,1,2,3 by distance pairs 0-3 and 1-2.
-  topo::Topology t;
-  t.g = graph::Graph(4);
-  t.g.add_edge(0, 1);
-  t.g.add_edge(1, 2);
-  t.g.add_edge(2, 3);
-  t.servers_per_switch = {1, 1, 1, 1};
+  const topo::Topology t("path",
+                         graph::Graph(4, {{0, 1}, {1, 2}, {2, 3}}),
+                         {1, 1, 1, 1});
   const auto tm = longest_matching_tm(t, {0, 1, 2, 3});
   // First commodity must be the 0<->3 pairing (distance 3).
   EXPECT_EQ(tm.commodities[0].src_tor, 0);
@@ -93,10 +90,7 @@ TEST(TmGenerators, ManyToOneAndOneToMany) {
 TEST(Throughput, TwoSwitchesDirectLink) {
   // Two ToRs with s servers each joined by one link: permutation demand s
   // through capacity 1 -> per-server throughput 1/s.
-  topo::Topology t;
-  t.g = graph::Graph(2);
-  t.g.add_edge(0, 1);
-  t.servers_per_switch = {4, 4};
+  const topo::Topology t("two", graph::Graph(2, {{0, 1}}), {4, 4});
   TrafficMatrix tm;
   tm.commodities = {{0, 1, 4.0}, {1, 0, 4.0}};
   const double tput = per_server_throughput(t, tm, {0.03});
@@ -105,10 +99,8 @@ TEST(Throughput, TwoSwitchesDirectLink) {
 
 TEST(Throughput, HoseCapAtLineRate) {
   // Overprovisioned: 2 ToRs, 4 parallel links, 1 server each -> capped 1.0.
-  topo::Topology t;
-  t.g = graph::Graph(2);
-  for (int i = 0; i < 4; ++i) t.g.add_edge(0, 1);
-  t.servers_per_switch = {1, 1};
+  const topo::Topology t(
+      "two", graph::Graph(2, std::vector<graph::Edge>(4, {0, 1})), {1, 1});
   TrafficMatrix tm;
   tm.commodities = {{0, 1, 1.0}, {1, 0, 1.0}};
   const double tput = per_server_throughput(t, tm, {0.03});

@@ -11,12 +11,7 @@ namespace flexnets::flowsim {
 namespace {
 
 topo::Topology two_racks() {
-  topo::Topology t;
-  t.name = "two-racks";
-  t.g = graph::Graph(2);
-  t.g.add_edge(0, 1);
-  t.servers_per_switch = {4, 4};
-  return t;
+  return topo::Topology("two-racks", graph::Graph(2, {{0, 1}}), {4, 4});
 }
 
 workload::FlowSpec flow(TimeNs start, int src, int dst, Bytes size) {
@@ -68,14 +63,9 @@ TEST(FlowSim, LateArrivalStartsOnTime) {
 TEST(FlowSim, EcmpSplitUsesAggregateCapacity) {
   // Two disjoint 2-hop paths between ToR 0 and 3 (grid); a single split
   // flow gets ~20G, a sampled flow only 10G.
-  topo::Topology t;
-  t.name = "grid";
-  t.g = graph::Graph(4);
-  t.g.add_edge(0, 1);
-  t.g.add_edge(1, 3);
-  t.g.add_edge(0, 2);
-  t.g.add_edge(2, 3);
-  t.servers_per_switch = {1, 0, 0, 1};
+  const topo::Topology t(
+      "grid", graph::Graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}}),
+      {1, 0, 0, 1});
 
   FlowSimConfig split_cfg;
   split_cfg.routing = FlowRouting::kEcmpSplit;
@@ -97,13 +87,9 @@ TEST(FlowSim, VlbTakesTwoLegs) {
   // Triangle of ToRs: VLB via the third rack still completes; with an
   // otherwise idle network FCT equals the sampled-path FCT (rate-limited
   // by one link either way in fluid terms).
-  topo::Topology t;
-  t.name = "triangle";
-  t.g = graph::Graph(3);
-  t.g.add_edge(0, 1);
-  t.g.add_edge(1, 2);
-  t.g.add_edge(0, 2);
-  t.servers_per_switch = {2, 2, 2};
+  const topo::Topology t("triangle",
+                         graph::Graph(3, {{0, 1}, {1, 2}, {0, 2}}),
+                         {2, 2, 2});
   FlowSimConfig cfg;
   cfg.routing = FlowRouting::kVlb;
   FlowLevelSimulator sim(t, cfg);

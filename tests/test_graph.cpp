@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
+#include "common/check.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
 #include "graph/matching.hpp"
@@ -11,29 +14,28 @@ namespace flexnets::graph {
 namespace {
 
 Graph path_graph(int n) {
-  Graph g(n);
-  for (NodeId i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
-  return g;
+  std::vector<Edge> edges;
+  for (NodeId i = 0; i + 1 < n; ++i) edges.push_back({i, i + 1});
+  return Graph(n, std::move(edges));
 }
 
 Graph cycle_graph(int n) {
-  Graph g(n);
-  for (NodeId i = 0; i < n; ++i) g.add_edge(i, (i + 1) % n);
-  return g;
+  std::vector<Edge> edges;
+  for (NodeId i = 0; i < n; ++i) edges.push_back({i, (i + 1) % n});
+  return Graph(n, std::move(edges));
 }
 
 Graph complete_graph(int n) {
-  Graph g(n);
+  std::vector<Edge> edges;
   for (NodeId i = 0; i < n; ++i) {
-    for (NodeId j = i + 1; j < n; ++j) g.add_edge(i, j);
+    for (NodeId j = i + 1; j < n; ++j) edges.push_back({i, j});
   }
-  return g;
+  return Graph(n, std::move(edges));
 }
 
 TEST(Graph, BasicAccessors) {
-  Graph g(3);
-  const auto e = g.add_edge(0, 1);
-  g.add_edge(1, 2);
+  const Graph g(3, {{0, 1}, {1, 2}});
+  const EdgeId e = 0;
   EXPECT_EQ(g.num_nodes(), 3);
   EXPECT_EQ(g.num_edges(), 2);
   EXPECT_EQ(g.edge(e).other(0), 1);
@@ -47,11 +49,36 @@ TEST(Graph, BasicAccessors) {
 }
 
 TEST(Graph, ParallelEdgesAllowed) {
-  Graph g(2);
-  g.add_edge(0, 1);
-  g.add_edge(0, 1);
+  const Graph g(2, {{0, 1}, {0, 1}});
   EXPECT_EQ(g.num_edges(), 2);
   EXPECT_EQ(g.degree(0), 2);
+}
+
+TEST(Graph, IncidentListsAscendInEdgeIdWithMatchingNeighbors) {
+  // Consumers that walk incident(n) (ECMP, KSP, PDES partitioning, fault
+  // repair, BFS) dispatch in edge-id order; neighbors(n) pairs with it.
+  const Graph g(4, {{2, 1}, {0, 1}, {3, 1}, {1, 0}, {2, 3}});
+  const auto inc = g.incident(1);
+  const auto nb = g.neighbors(1);
+  EXPECT_EQ(std::vector<EdgeId>(inc.begin(), inc.end()),
+            (std::vector<EdgeId>{0, 1, 2, 3}));
+  EXPECT_EQ(std::vector<NodeId>(nb.begin(), nb.end()),
+            (std::vector<NodeId>{2, 0, 3, 0}));
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    for (std::size_t i = 0; i < g.incident(n).size(); ++i) {
+      EXPECT_EQ(g.edge(g.incident(n)[i]).other(n), g.neighbors(n)[i]);
+    }
+  }
+  EXPECT_TRUE(Graph(5).incident(4).empty());
+}
+
+TEST(Graph, ConstructionRejectsSelfLoopsAndOutOfRangeEndpoints) {
+  // A check, not an assert: it holds in builds with NDEBUG too.
+  CheckPolicyScope policy(CheckPolicy::kThrow);
+  EXPECT_THROW(Graph(3, {{1, 1}}), CheckFailure);
+  EXPECT_THROW(Graph(3, {{0, 3}}), CheckFailure);
+  EXPECT_THROW(Graph(3, {{-1, 2}}), CheckFailure);
+  EXPECT_THROW(Graph(-2), CheckFailure);
 }
 
 TEST(Algorithms, BfsDistancesOnPath) {
@@ -61,8 +88,7 @@ TEST(Algorithms, BfsDistancesOnPath) {
 }
 
 TEST(Algorithms, BfsUnreachable) {
-  Graph g(3);
-  g.add_edge(0, 1);
+  const Graph g(3, {{0, 1}});
   const auto d = bfs_distances(g, 0);
   EXPECT_EQ(d[2], kUnreachable);
   EXPECT_FALSE(is_connected(g));
@@ -83,11 +109,7 @@ TEST(Algorithms, DiameterDisconnected) {
 
 TEST(Algorithms, EcmpNextHopsOnGrid) {
   // 2x2 grid: 0-1, 0-2, 1-3, 2-3. From 0 toward 3 there are two next hops.
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 3);
-  g.add_edge(2, 3);
+  const Graph g(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
   const auto next = ecmp_next_hops_to(g, 3);
   EXPECT_EQ(next[0], (std::vector<NodeId>{1, 2}));
   EXPECT_EQ(next[1], (std::vector<NodeId>{3}));
@@ -98,36 +120,9 @@ TEST(Algorithms, EcmpNextHopsOnGrid) {
 TEST(Algorithms, EcmpNextHopsAreShortestOnly) {
   // Triangle plus a pendant: 0-1, 1-2, 0-2, 2-3. Toward 3, node 0 must use
   // only 2 (distance 2), not 1 (would be distance 3).
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
+  const Graph g(4, {{0, 1}, {1, 2}, {0, 2}, {2, 3}});
   const auto next = ecmp_next_hops_to(g, 3);
   EXPECT_EQ(next[0], (std::vector<NodeId>{2}));
-}
-
-TEST(Algorithms, DijkstraMatchesBfsOnUnitLengths) {
-  const auto g = cycle_graph(8);
-  std::vector<double> len(static_cast<std::size_t>(g.num_edges()), 1.0);
-  const auto r = dijkstra(g, 0, len);
-  const auto d = bfs_distances(g, 0);
-  for (int i = 0; i < 8; ++i) EXPECT_DOUBLE_EQ(r.dist[i], d[i]);
-}
-
-TEST(Algorithms, DijkstraPrefersCheapDetour) {
-  // 0-1 expensive, 0-2-1 cheap.
-  Graph g(3);
-  const auto e01 = g.add_edge(0, 1);
-  const auto e02 = g.add_edge(0, 2);
-  const auto e21 = g.add_edge(2, 1);
-  std::vector<double> len(3);
-  len[e01] = 10.0;
-  len[e02] = 1.0;
-  len[e21] = 1.0;
-  const auto r = dijkstra(g, 0, len);
-  EXPECT_DOUBLE_EQ(r.dist[1], 2.0);
-  EXPECT_EQ(r.parent_node[1], 2);
 }
 
 TEST(Matching, PairsHighestWeightsFirst) {

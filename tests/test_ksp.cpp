@@ -38,7 +38,7 @@ std::vector<NodeId> restricted_shortest_path(
     q.pop();
     if (u == dst) break;
     // Deterministic neighbor order: sorted copies.
-    std::vector<NodeId> nbrs = g.neighbors(u);
+    std::vector<NodeId> nbrs(g.neighbors(u).begin(), g.neighbors(u).end());
     std::sort(nbrs.begin(), nbrs.end());
     for (const NodeId v : nbrs) {
       if (seen[v] || banned_node[v]) continue;
@@ -113,15 +113,7 @@ std::vector<std::vector<NodeId>> k_shortest_paths(const Graph& g, NodeId src,
 
 Graph diamond() {
   // 0-1-3 and 0-2-3 (two 2-hop paths), plus 0-4-5-3 (one 3-hop path).
-  Graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 3);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
-  g.add_edge(0, 4);
-  g.add_edge(4, 5);
-  g.add_edge(5, 3);
-  return g;
+  return Graph(6, {{0, 1}, {1, 3}, {0, 2}, {2, 3}, {0, 4}, {4, 5}, {5, 3}});
 }
 
 TEST(Ksp, FindsPathsInAscendingLength) {
@@ -152,16 +144,14 @@ TEST(Ksp, PathsAreLooplessAndDistinct) {
 }
 
 TEST(Ksp, StopsWhenGraphExhausted) {
-  Graph g(2);
-  g.add_edge(0, 1);
+  const Graph g(2, {{0, 1}});
   const auto paths = k_shortest_paths(g, 0, 1, 5);
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_EQ(paths[0], (std::vector<NodeId>{0, 1}));
 }
 
 TEST(Ksp, UnreachableReturnsEmpty) {
-  Graph g(3);
-  g.add_edge(0, 1);
+  const Graph g(3, {{0, 1}});
   EXPECT_TRUE(k_shortest_paths(g, 0, 2, 3).empty());
 }
 
@@ -241,15 +231,15 @@ TEST(Ksp, MatchesFrozenSearchWithFailedLinks) {
 TEST(Ksp, MatchesFrozenSearchOnAMultigraph) {
   // A ring with chords, and parallel copies of about a third of the edges.
   Rng rng(17);
-  Graph g(24);
+  std::vector<Edge> edges;
   for (NodeId v = 0; v < 24; ++v) {
     const NodeId chord = static_cast<NodeId>((v + 5 + rng.next_u64(7)) % 24);
     for (const NodeId w : {static_cast<NodeId>((v + 1) % 24), chord}) {
-      g.add_edge(v, w);
-      if (rng.next_u64(3) == 0) g.add_edge(w, v);
+      edges.push_back({v, w});
+      if (rng.next_u64(3) == 0) edges.push_back({w, v});
     }
   }
-  expect_matches_frozen(g, "multigraph", 5, 150);
+  expect_matches_frozen(Graph(24, std::move(edges)), "multigraph", 5, 150);
 }
 
 TEST(KspTable, CachesAndReturnsConsistently) {

@@ -15,12 +15,7 @@ namespace flexnets::routing {
 namespace {
 
 graph::Graph grid4() {
-  graph::Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 3);
-  g.add_edge(2, 3);
-  return g;
+  return graph::Graph(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
 }
 
 TEST(EcmpTable, NextHopsMatchAlgorithm) {
@@ -109,9 +104,7 @@ TEST(SwitchForwarder, DeliversLocallyAtDestination) {
 TEST(SwitchForwarder, VlbRoutesViaBouncePoint) {
   // Path graph 0-1-2: via = 1 forces packets from 0 to 2 through 1, and the
   // via field is cleared at the bounce switch.
-  graph::Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
+  const graph::Graph g(3, {{0, 1}, {1, 2}});
   const auto table = EcmpTable::build(g, {0, 1, 2});
   const SwitchForwarder fwd(table, 7);
   sim::Packet p;

@@ -185,15 +185,9 @@ TEST(SprayPacketSim, FlowsCompleteUnderSpray) {
 TEST(LeastQueuePolicy, CompletesAndUsesBothPathsUnderContention) {
   // Two racks, two equal paths; least-queue should keep both busy even for
   // a single flow pair (it reacts per packet to queue buildup).
-  graph::Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 3);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
-  topo::Topology t;
-  t.name = "grid4";
-  t.g = g;
-  t.servers_per_switch = {2, 0, 0, 2};
+  const topo::Topology t(
+      "grid4", graph::Graph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}}),
+      {2, 0, 0, 2});
 
   sim::NetworkConfig cfg;
   cfg.routing.mode = RoutingMode::kEcmp;

@@ -34,7 +34,7 @@ TEST(FatTree, K16MatchesPaperSection64) {
 TEST(FatTree, AllSwitchesUseFullRadixWhenFull) {
   const auto ft = fat_tree(8);
   for (graph::NodeId s = 0; s < ft.topo.num_switches(); ++s) {
-    EXPECT_EQ(ft.topo.g.degree(s) + ft.topo.servers_per_switch[s], 8)
+    EXPECT_EQ(ft.topo.g.degree(s) + ft.topo.servers_per_switch()[s], 8)
         << "switch " << s;
   }
 }
@@ -53,9 +53,9 @@ TEST(FatTree, ServersOnlyAtEdge) {
   const auto ft = fat_tree(6);
   for (graph::NodeId s = 0; s < ft.topo.num_switches(); ++s) {
     if (ft.layout.is_edge(s)) {
-      EXPECT_EQ(ft.topo.servers_per_switch[s], 3);
+      EXPECT_EQ(ft.topo.servers_per_switch()[s], 3);
     } else {
-      EXPECT_EQ(ft.topo.servers_per_switch[s], 0);
+      EXPECT_EQ(ft.topo.servers_per_switch()[s], 0);
     }
   }
 }
@@ -137,7 +137,7 @@ TEST(JellyfishSameEquipment, NonDivisibleServerTotals) {
   const auto t = jellyfish_same_equipment(250, 20, 2000, 1);
   EXPECT_EQ(t.num_servers(), 2000);
   for (graph::NodeId s = 0; s < 250; ++s) {
-    EXPECT_EQ(t.g.degree(s) + t.servers_per_switch[s], 20);
+    EXPECT_EQ(t.g.degree(s) + t.servers_per_switch()[s], 20);
   }
   EXPECT_TRUE(graph::is_connected(t.g));
 
@@ -148,9 +148,9 @@ TEST(JellyfishSameEquipment, NonDivisibleServerTotals) {
   int four = 0;
   int five = 0;
   for (graph::NodeId s = 0; s < 180; ++s) {
-    EXPECT_EQ(u.g.degree(s) + u.servers_per_switch[s], 12);
-    four += (u.servers_per_switch[s] == 4);
-    five += (u.servers_per_switch[s] == 5);
+    EXPECT_EQ(u.g.degree(s) + u.servers_per_switch()[s], 12);
+    four += (u.servers_per_switch()[s] == 4);
+    five += (u.servers_per_switch()[s] == 5);
   }
   EXPECT_EQ(four + five, 180);
   EXPECT_EQ(five, 864 - 4 * 180);
@@ -268,9 +268,7 @@ TEST(Toy, Section41Structure) {
 }
 
 TEST(Topology, ServerMapping) {
-  Topology t;
-  t.g = graph::Graph(3);
-  t.servers_per_switch = {2, 0, 3};
+  const Topology t("t", graph::Graph(3), {2, 0, 3});
   EXPECT_EQ(t.num_servers(), 5);
   EXPECT_EQ(t.switch_of_server(0), 0);
   EXPECT_EQ(t.switch_of_server(1), 0);

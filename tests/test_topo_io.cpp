@@ -16,7 +16,7 @@ TEST(TopoIo, RoundTripPreservesEverything) {
   const auto back = from_text(text);
   ASSERT_TRUE(back.ok()) << back.status().to_string();
   EXPECT_EQ(back->name, t.name);
-  EXPECT_EQ(back->servers_per_switch, t.servers_per_switch);
+  EXPECT_EQ(back->servers_per_switch(), t.servers_per_switch());
   ASSERT_EQ(back->g.num_edges(), t.g.num_edges());
   for (graph::EdgeId e = 0; e < t.g.num_edges(); ++e) {
     EXPECT_EQ(back->g.edge(e).a, t.g.edge(e).a);
@@ -60,6 +60,15 @@ TEST(TopoIo, RejectsMalformedInputWithLineDiagnostics) {
       "flexnets-topology 1\nname x\nswitches 2\nservers 1 oops\nlinks 0\n");
   ASSERT_FALSE(bad_servers.ok());
   EXPECT_NE(bad_servers.status().message().find("line 4"), std::string::npos);
+}
+
+TEST(TopoIo, RejectsServerTotalBeyondIntIds) {
+  const auto big = from_text(
+      "flexnets-topology 1\nname x\nswitches 2\nservers 2000000000 "
+      "2000000000\nlinks 0\n");
+  ASSERT_FALSE(big.ok());
+  EXPECT_EQ(big.status().code(), StatusCode::kInvalidInput);
+  EXPECT_NE(big.status().message().find("line 4"), std::string::npos);
 }
 
 TEST(TopoIo, EmptyTopology) {

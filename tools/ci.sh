@@ -104,20 +104,20 @@ rm -f "$PDES_PROBE"
 "$ANALYZE_BIN" --repo-root "$REPO_ROOT" src/ >/dev/null
 echo "seeded sim/pdes violation rejected; clean tree passes"
 
-# topo/csr sits BELOW graph (the flat hot path must never reach back into
-# the multigraph): a csr file including graph/ must be fatal.
-step "analyze: seeded topo/csr layering violation must be fatal"
-CSR_PROBE="src/topo/csr/__layering_probe.cpp"
-trap 'rm -f "$REPO_ROOT/$CSR_PROBE"' EXIT
-printf '#include "graph/graph.hpp"\n' > "$CSR_PROBE"
+# graph sits BELOW topo (the graph library never sees a topology): a graph
+# file including topo/ must be fatal.
+step "analyze: seeded graph -> topo layering violation must be fatal"
+TOPO_PROBE="src/graph/__layering_probe.cpp"
+trap 'rm -f "$REPO_ROOT/$TOPO_PROBE"' EXIT
+printf '#include "topo/topology.hpp"\n' > "$TOPO_PROBE"
 if "$ANALYZE_BIN" --repo-root "$REPO_ROOT" src/ >/dev/null 2>&1; then
-  rm -f "$CSR_PROBE"
-  echo "analyze gate: seeded topo/csr layering violation was NOT rejected"
+  rm -f "$TOPO_PROBE"
+  echo "analyze gate: seeded graph -> topo layering violation was NOT rejected"
   exit 1
 fi
-rm -f "$CSR_PROBE"
+rm -f "$TOPO_PROBE"
 "$ANALYZE_BIN" --repo-root "$REPO_ROOT" src/ >/dev/null
-echo "seeded topo/csr violation rejected; clean tree passes"
+echo "seeded graph -> topo violation rejected; clean tree passes"
 
 # Same teeth for the process-api rule: a raw fork() anywhere outside
 # src/sweep/process_supervisor.cpp must be fatal.

@@ -36,7 +36,7 @@ int run_flow_level(const topo::Topology& t,
   }
   int active_servers = 0;
   for (const auto r : pairs.active_racks()) {
-    active_servers += t.servers_per_switch[r];
+    active_servers += t.servers_per_switch()[r];
   }
   const double rate = rate_per_server * active_servers;
   const int num_flows = std::max(
@@ -91,7 +91,7 @@ int cmd_sim(const Args& args) {
     }
     const auto e = t->g.edge(0);
     const int per_rack =
-        std::min(t->servers_per_switch[e.a], t->servers_per_switch[e.b]);
+        std::min(t->servers_per_switch()[e.a], t->servers_per_switch()[e.b]);
     if (per_rack == 0) {
       std::fprintf(stderr, "error: adjacent racks host no servers\n");
       return 1;
@@ -161,7 +161,7 @@ int cmd_sim(const Args& args) {
 
   int active_servers = 0;
   for (const auto r : pairs->active_racks()) {
-    active_servers += t->servers_per_switch[r];
+    active_servers += t->servers_per_switch()[r];
   }
   opts.arrival_rate = rate * active_servers;
   opts.window_begin = warmup;
