@@ -18,18 +18,20 @@ using namespace flexnets;
 // The hold model: a fixed population of pending events, where each op
 // pops the head and pushes one event a seeded offset after it, as a packet
 // run does. Seven offsets in eight are link-scale (up to 2 us of
-// serialization plus propagation) and land in the near buckets; the rest
-// are RTO-scale (200 us to 1 ms, a retransmission timer) and land in the
-// far heap.
+// serialization plus propagation) and are filed into the timing wheel;
+// the rest are RTO-scale (200 us to 1 ms, a retransmission timer) and wait
+// in the far heap.
 TimeNs hold_offset(Rng& rng) {
   return rng.next_u64(8) == 0
              ? static_cast<TimeNs>(200'000 + rng.next_u64(800'001))
              : static_cast<TimeNs>(1 + rng.next_u64(2'000));
 }
 
-// n events at ascending seeded link-scale gaps: past the first few, which
-// the small-queue rule keeps in bucket 0, they file into the near buckets
-// and the far heap like a running simulation's.
+// n events at ascending seeded link-scale gaps. Past the first few, which
+// the small-queue rule keeps in bucket 0, most lie beyond the wheel's
+// 4,096 ns window and start in the far heap; the hold loop then mixes
+// them with its own wheel and far-heap pushes, like a running
+// simulation's.
 void hold_prefill(sim::EventQueue& q, std::size_t n, Rng& rng) {
   q.reserve(n);
   sim::Event e;
@@ -54,7 +56,9 @@ void BM_EventQueueHold(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.SetLabel("items = pop + push pairs");
 }
-BENCHMARK(BM_EventQueueHold)->Arg(1024)->Arg(65536);
+// 12288 is the packet run's peak live population (the 216-switch
+// Xpander; see the reserve comment in sim/network.cpp).
+BENCHMARK(BM_EventQueueHold)->Arg(1024)->Arg(12288)->Arg(65536);
 
 void BM_LinkTransmitCycle(benchmark::State& state) {
   sim::Simulator sim;

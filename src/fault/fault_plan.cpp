@@ -79,34 +79,6 @@ Status check_gray_params(const FaultEvent& e) {
   return {};
 }
 
-// True if the switch graph minus `dead_edges` / `dead_switches` still
-// connects every live switch (isolated dead switches are ignored).
-bool survivors_connected(const graph::Graph& g,
-                         const std::vector<char>& dead_edge,
-                         const std::vector<char>& dead_switch) {
-  std::vector<graph::Edge> kept;
-  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto& ed = g.edge(e);
-    if (!dead_edge[e] && !dead_switch[ed.a] && !dead_switch[ed.b]) {
-      kept.push_back(ed);
-    }
-  }
-  const graph::Graph live(g.num_nodes(), std::move(kept));
-  graph::NodeId root = graph::kInvalidNode;
-  for (graph::NodeId n = 0; n < g.num_nodes(); ++n) {
-    if (!dead_switch[n]) {
-      root = n;
-      break;
-    }
-  }
-  if (root == graph::kInvalidNode) return true;  // nothing left to connect
-  const auto dist = graph::bfs_distances(live, root);
-  for (graph::NodeId n = 0; n < g.num_nodes(); ++n) {
-    if (!dead_switch[n] && dist[n] == graph::kUnreachable) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 bool is_link_kind(FaultKind k) {
@@ -182,7 +154,7 @@ FaultPlan FaultPlan::random(const topo::Topology& t,
     if (!opt.allow_tor_failures && t.servers_per_switch()[n] > 0) continue;
     dead_switch[n] = 1;
     if (opt.preserve_connectivity &&
-        !survivors_connected(t.g, dead_edge, dead_switch)) {
+        !graph::survivors_connected(t.g, dead_edge, dead_switch)) {
       dead_switch[n] = 0;  // would partition the survivors; skip
       continue;
     }
@@ -202,7 +174,7 @@ FaultPlan FaultPlan::random(const topo::Topology& t,
     if (dead_switch[ed.a] || dead_switch[ed.b]) continue;  // already down
     dead_edge[e] = 1;
     if (opt.preserve_connectivity &&
-        !survivors_connected(t.g, dead_edge, dead_switch)) {
+        !graph::survivors_connected(t.g, dead_edge, dead_switch)) {
       dead_edge[e] = 0;  // cut link; keep it
       continue;
     }
@@ -235,7 +207,7 @@ FaultPlan FaultPlan::random(const topo::Topology& t,
         // connectivity contract as the binary victims, and keep the edge
         // marked dead so later degrade-0 draws account for it.
         dead_edge[e] = 1;
-        if (!survivors_connected(t.g, dead_edge, dead_switch)) {
+        if (!graph::survivors_connected(t.g, dead_edge, dead_switch)) {
           dead_edge[e] = 0;
           continue;
         }

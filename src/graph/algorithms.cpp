@@ -7,8 +7,16 @@
 namespace flexnets::graph {
 
 std::vector<int> bfs_distances(const Graph& g, NodeId src) {
-  std::vector<int> dist(static_cast<std::size_t>(g.num_nodes()), kUnreachable);
+  std::vector<int> dist;
   std::vector<NodeId> queue;
+  bfs_distances(g, src, dist, queue);
+  return dist;
+}
+
+void bfs_distances(const Graph& g, NodeId src, std::vector<int>& dist,
+                   std::vector<NodeId>& queue) {
+  dist.assign(static_cast<std::size_t>(g.num_nodes()), kUnreachable);
+  queue.clear();
   queue.reserve(dist.size());
   dist[src] = 0;
   queue.push_back(src);
@@ -21,7 +29,35 @@ std::vector<int> bfs_distances(const Graph& g, NodeId src) {
       }
     }
   }
-  return dist;
+}
+
+bool survivors_connected(const Graph& g, const std::vector<char>& dead_edge,
+                         const std::vector<char>& dead_node) {
+  NodeId root = kInvalidNode;
+  NodeId live = 0;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    if (dead_node[n]) continue;
+    if (root == kInvalidNode) root = n;
+    ++live;
+  }
+  if (root == kInvalidNode) return true;  // nothing left to connect
+  std::vector<char> seen(static_cast<std::size_t>(g.num_nodes()), 0);
+  std::vector<NodeId> queue;
+  queue.reserve(static_cast<std::size_t>(live));
+  seen[root] = 1;
+  queue.push_back(root);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
+    const auto edges = g.incident(u);
+    const auto nbrs = g.neighbors(u);
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const NodeId v = nbrs[i];
+      if (seen[v] || dead_edge[edges[i]] || dead_node[v]) continue;
+      seen[v] = 1;
+      queue.push_back(v);
+    }
+  }
+  return static_cast<NodeId>(queue.size()) == live;
 }
 
 std::vector<std::vector<int>> all_pairs_distances(const Graph& g) {

@@ -13,6 +13,17 @@ constexpr int kUnreachable = -1;
 
 // BFS hop distances from `src` (kUnreachable where disconnected).
 std::vector<int> bfs_distances(const Graph& g, NodeId src);
+// The same into `dist`, with `queue` as scratch: callers that run one BFS
+// per destination reuse both and allocate nothing after the first.
+void bfs_distances(const Graph& g, NodeId src, std::vector<int>& dist,
+                   std::vector<NodeId>& queue);
+
+// True if the nodes not flagged in `dead_node` stay mutually connected
+// once the edges flagged in `dead_edge` and every edge of a dead node are
+// removed (dead nodes themselves need not be reached). Indexed by node
+// and edge id; BFSes `g` itself, skipping the dead parts.
+bool survivors_connected(const Graph& g, const std::vector<char>& dead_edge,
+                         const std::vector<char>& dead_node);
 
 // Hop distances between all node pairs; dist[u][v].
 std::vector<std::vector<int>> all_pairs_distances(const Graph& g);

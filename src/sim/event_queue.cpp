@@ -1,15 +1,14 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/check.hpp"
 
 namespace flexnets::sim {
 
-// heap_push, heap_pop and place run on every push and pop; without the
-// forced inlining GCC calls them out of line, which costs more than the
-// work they do on the small queues of a single link.
+// heap_push, heap_pop, wheel_link and place run on every push and pop;
+// without the forced inlining GCC calls them out of line, which costs
+// more than the work they do on the small queues of a single link.
 [[gnu::always_inline]] inline void EventQueue::heap_push(
     std::vector<Entry>& heap, const Entry& e) {
   // Sift up: move parents down into the hole until e fits.
@@ -49,51 +48,94 @@ namespace flexnets::sim {
   return top;
 }
 
+[[gnu::always_inline]] inline void EventQueue::wheel_link(const Entry& e) {
+  std::uint32_t n = free_node_;
+  if (n == kNoNode) {
+    n = static_cast<std::uint32_t>(pool_.size());
+    pool_.push_back({e, kNoNode});
+  } else {
+    free_node_ = pool_[n].next;
+    pool_[n].entry = e;
+  }
+  const auto s = static_cast<std::size_t>(e.time) & (kWheelSlots - 1);
+  const std::size_t w = s / 64;
+  const std::uint64_t bit = std::uint64_t{1} << (s % 64);
+  pool_[n].next = (occupied_[w] & bit) != 0 ? slot_head_[s] : kNoNode;
+  slot_head_[s] = n;
+  occupied_[w] |= bit;
+  summary_ |= std::uint64_t{1} << w;
+}
+
 [[gnu::always_inline]] inline void EventQueue::place(const Entry& e) {
   // A small queue with nothing beyond bucket 0 stays a plain binary
-  // heap: last_ may jump ahead, since no near or far entry depends on it.
-  if (e.time > last_ && near_mask_ == 0 && far_.empty() &&
+  // heap: cur_ may jump ahead, since no wheel or far entry depends on it.
+  if (e.time > cur_ && summary_ == 0 && far_.empty() &&
       bucket0_.size() < kSmallQueue) {
-    last_ = e.time;
+    cur_ = e.time;
   }
-  if (e.time <= last_) {
+  if (e.time <= cur_) {
     heap_push(bucket0_, e);
-    return;
-  }
-  const int bit =
-      std::bit_width(static_cast<std::uint64_t>(e.time ^ last_)) - 1;
-  if (bit < kNearBits) {
-    near_[static_cast<std::size_t>(bit)].push_back(e);
-    near_mask_ |= std::uint32_t{1} << bit;
+  } else if (static_cast<std::uint64_t>(e.time - cur_) < kWheelSlots) {
+    wheel_link(e);
   } else {
     heap_push(far_, e);
   }
 }
 
-void EventQueue::settle() {
-  if (near_mask_ != 0) {
-    // The lowest non-empty near bucket holds the next time: its entries
-    // agree with last_ above bit i and have bit i set, which every entry
-    // in a higher bucket or the far heap exceeds.
-    const int i = std::countr_zero(near_mask_);
-    std::vector<Entry>& from = near_[static_cast<std::size_t>(i)];
-    TimeNs m = from.front().time;
-    for (const Entry& e : from) m = std::min(m, e.time);
-    // last_ changes only below bit i, so entries elsewhere keep their
-    // place, and each of these lands in bucket 0 or below bucket i.
-    last_ = m;
-    near_mask_ &= near_mask_ - 1;
-    for (const Entry& e : from) place(e);
-    from.clear();
-    return;
+std::size_t EventQueue::next_slot() const {
+  // Wheel entries lie in (cur_, cur_ + kWheelSlots), so the slots after
+  // cur_'s up to the last, then from slot 0 up to cur_'s, are in time
+  // order.
+  const std::size_t start =
+      static_cast<std::size_t>(cur_ + 1) & (kWheelSlots - 1);
+  const std::size_t w = start / 64;
+  const std::uint64_t here =
+      occupied_[w] & (~std::uint64_t{0} << (start % 64));
+  if (here != 0) {
+    return w * 64 + static_cast<std::size_t>(std::countr_zero(here));
   }
-  // Near buckets dry: pull the far heap's next 2^kNearBits ns block. What
-  // stays in the far heap lies in a later block, so it still differs from
-  // the new last_ at bit kNearBits or above.
-  last_ = far_.front().time;
-  const TimeNs block = last_ >> kNearBits;
-  while (!far_.empty() && (far_.front().time >> kNearBits) == block) {
-    place(heap_pop(far_));
+  // Words above w, else wrap to the lowest occupied word, which is at or
+  // below w (and if w itself, below start, since the bits from start on
+  // are empty).
+  const std::uint64_t above = summary_ & ((~std::uint64_t{0} << w) << 1);
+  const auto word = static_cast<std::size_t>(
+      std::countr_zero(above != 0 ? above : summary_));
+  return word * 64 +
+         static_cast<std::size_t>(std::countr_zero(occupied_[word]));
+}
+
+void EventQueue::settle() {
+  // The queue's minimum time is the earlier of the next slot's (a slot
+  // holds one timestamp) and the far heap's front.
+  std::size_t s = kWheelSlots;
+  if (summary_ != 0) {
+    s = next_slot();
+    cur_ = pool_[slot_head_[s]].entry.time;
+    if (!far_.empty() && far_.front().time < cur_) {
+      cur_ = far_.front().time;
+      s = kWheelSlots;  // the slot is later; it stays
+    }
+  } else {
+    cur_ = far_.front().time;
+  }
+  if (s != kWheelSlots) {
+    std::uint32_t n = slot_head_[s];
+    do {
+      Node& node = pool_[n];
+      heap_push(bucket0_, node.entry);
+      const std::uint32_t next = node.next;
+      node.next = free_node_;
+      free_node_ = n;
+      n = next;
+    } while (n != kNoNode);
+    const std::size_t w = s / 64;
+    occupied_[w] &= ~(std::uint64_t{1} << (s % 64));
+    if (occupied_[w] == 0) summary_ &= ~(std::uint64_t{1} << w);
+  }
+  // Far entries at cur_ join bucket 0 too, where the full key orders
+  // them against the slot's.
+  while (!far_.empty() && far_.front().time == cur_) {
+    heap_push(bucket0_, heap_pop(far_));
   }
 }
 

@@ -75,29 +75,34 @@ struct Event {
   Packet pkt;  // valid for kPacketArrive only
 };
 
-// A radix heap on the integer event time (Ahuja, Mehlhorn, Orlin and
-// Tarjan, JACM 1990) over compact 56-byte entries. `last_` is the time of
-// the last settle, and every entry sits in one of three places:
+// A timing wheel (Varghese and Lauck, SOSP 1987) in front of two binary
+// heaps, over compact 56-byte entries. `cur_` is the time of the last
+// settle, and every entry sits in one of three places:
 //
-//  - bucket 0: every entry with time <= last_, as a binary heap under the
+//  - bucket 0: every entry with time <= cur_, as a binary heap under the
 //    full key (time, depth, owner, oseq, seq). Ties are resolved only
 //    here; on packet runs it holds under two entries on average.
-//  - near bucket i (i < kNearBits): entries with time > last_ whose time
-//    first differs from last_ at bit i, as unordered vectors with a bitmask
-//    of which are non-empty.
-//  - the far heap: entries that differ from last_ at bit kNearBits or
-//    above -- a later 2^16 ns block -- in one binary heap under the same
-//    key: pending retransmission timers, pre-scheduled flow starts and
-//    faults.
+//  - the wheel: entries with cur_ < time < cur_ + kWheelSlots, each linked
+//    once into slot time % kWheelSlots, one nanosecond wide. A slot is an
+//    intrusive list of pool nodes; an occupancy bitmap and a one-word
+//    summary of it find the next non-empty slot. Link dequeues and
+//    arrivals (serialization plus propagation) land here.
+//  - the far heap: entries pushed at cur_ + kWheelSlots or later, in one
+//    binary heap under the same key: pending retransmission timers,
+//    pre-scheduled flow starts and faults, and the link events of links
+//    too slow for the wheel's window. Its entries never move into the
+//    wheel; each leaves the heap when its own time is settled.
 //
-// When bucket 0 is empty, settle() takes the lowest non-empty near bucket,
-// moves last_ to its minimum time and redistributes it: each entry lands in
-// bucket 0 (time == last_) or a strictly lower near bucket. When the near
-// buckets are empty too, it pulls the far heap's next 2^kNearBits ns block
-// the same way. The peeks (top_time, top_before, top) settle too, which is
-// why they are not const. Any push is valid at any time -- a time <= last_
-// just joins bucket 0 -- so a push below a peeked head (the parallel
-// engine's barrier exchange) needs no precondition.
+// When bucket 0 is empty, settle() finds the next occupied slot, moves
+// cur_ to the earlier of that slot's time and the far heap's front, and
+// moves that one timestamp's entries, from the slot and from the far
+// heap, into bucket 0, where the full key orders them. While the wheel
+// holds anything, cur_ thus only ever advances to the queue's minimum, so
+// every wheel entry stays inside (cur_, cur_ + kWheelSlots) and a slot
+// holds exactly one timestamp. The peeks (top_time, top_before, top)
+// settle too, which is why they are not const. Any push is valid at any
+// time -- a time <= cur_ just joins bucket 0 -- so a push below a peeked
+// head (the parallel engine's barrier exchange) needs no precondition.
 //
 // Only a kPacketArrive event's Packet lives outside the entries, in a
 // per-queue slab whose slots are recycled through a LIFO free list, so a
@@ -109,8 +114,8 @@ class EventQueue {
  public:
   // Pre-sizes the far heap for n live events: on packet runs it holds
   // most of the live population (pending timers, pre-scheduled flow
-  // starts and faults). Bucket 0, the near buckets and the packet slab
-  // grow on demand to their peaks.
+  // starts and faults). Bucket 0, the wheel's node pool and the packet
+  // slab grow on demand to their peaks.
   void reserve(std::size_t n) { far_.reserve(n); }
 
   // Builds an event in place. `pkt` is the arrival's packet: non-null
@@ -150,15 +155,17 @@ class EventQueue {
 
  private:
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
-  // Near buckets hold last_'s 2^16 ns (65.5 us) block. That is well above
-  // a link's serialization plus propagation (1.3 us for a full-sized
-  // packet at 10 Gbps), so dequeues and arrivals stay near, and below the
-  // minimum RTO (200 us), so pending timers wait in the far heap instead
-  // of being moved bucket to bucket.
-  static constexpr int kNearBits = 16;
-  // While the near buckets and the far heap are empty and bucket 0 holds
-  // fewer than this many entries, every push joins bucket 0 (see place()),
-  // so the few events of a single link or a fault queue skip the settles.
+  // The wheel spans 4,096 ns past cur_, one slot per nanosecond. That
+  // covers a full-sized packet's serialization plus propagation (1.3 us
+  // at 10 Gbps, 2.5 us on a half-rate degraded link), so dequeues and
+  // arrivals are filed once, and stays far below the minimum RTO
+  // (200 us), so pending timers wait in the far heap. Events of slower
+  // links fall back to the far heap.
+  static constexpr std::size_t kWheelSlots = 4096;  // a power of two
+  static constexpr std::size_t kWheelWords = kWheelSlots / 64;
+  // While the wheel and the far heap are empty and bucket 0 holds fewer
+  // than this many entries, every push joins bucket 0 (see place()), so
+  // the few events of a single link or a fault queue skip the settles.
   static constexpr std::size_t kSmallQueue = 8;
 
   struct Entry {
@@ -174,6 +181,14 @@ class EventQueue {
   };
   static_assert(sizeof(Entry) == 56, "queue entries must stay compact");
 
+  // A wheel entry: `next` links the entries of one slot, or the free
+  // nodes, and is kNoNode at a list's end.
+  static constexpr std::uint32_t kNoNode = UINT32_MAX;
+  struct Node {
+    Entry entry;
+    std::uint32_t next;
+  };
+
   // before() on entries: the same key, the same order.
   [[nodiscard]] static bool entry_before(const Entry& x, const Entry& y) {
     if (x.time != y.time) return x.time < y.time;
@@ -186,22 +201,33 @@ class EventQueue {
   static void heap_push(std::vector<Entry>& heap, const Entry& e);
   static Entry heap_pop(std::vector<Entry>& heap);
 
-  // Files e into bucket 0, a near bucket or the far heap, relative to
-  // last_.
+  // Files e into bucket 0, the wheel or the far heap, relative to cur_.
   void place(const Entry& e);
-  // Refills an empty bucket 0 from the lowest non-empty near bucket, or
-  // from the far heap's next block. Requires a non-empty queue.
+  // Links e into its wheel slot. Requires cur_ < e.time < cur_ +
+  // kWheelSlots.
+  void wheel_link(const Entry& e);
+  // The first occupied slot after cur_'s, in time order. Requires a
+  // non-empty wheel.
+  [[nodiscard]] std::size_t next_slot() const;
+  // Refills an empty bucket 0 with the queue's next timestamp, from the
+  // wheel and the far heap. Requires a non-empty queue.
   void settle();
   // The next entry (bucket 0's root), settling first if needed.
   [[nodiscard]] const Entry& head();
   // Writes h into out; the packet only if h holds a slab slot.
   void materialize(const Entry& h, Event& out) const;
 
-  std::vector<Entry> bucket0_;  // binary min-heap: time <= last_
-  std::array<std::vector<Entry>, kNearBits> near_;
-  std::uint32_t near_mask_ = 0;  // bit i set: near_[i] is non-empty
-  std::vector<Entry> far_;       // binary min-heap: beyond the near block
-  TimeNs last_ = 0;
+  std::vector<Entry> bucket0_;  // binary min-heap: time <= cur_
+  // The wheel: slot s's list starts at slot_head_[s], which is valid only
+  // while bit s of occupied_ is set; bit w of summary_ is set iff
+  // occupied_[w] is non-zero.
+  std::array<std::uint32_t, kWheelSlots> slot_head_{};
+  std::array<std::uint64_t, kWheelWords> occupied_{};
+  std::uint64_t summary_ = 0;
+  std::vector<Node> pool_;
+  std::uint32_t free_node_ = kNoNode;  // LIFO through Node::next
+  std::vector<Entry> far_;  // binary min-heap: pushed beyond the wheel
+  TimeNs cur_ = 0;
   std::size_t size_ = 0;
   std::vector<Packet> slab_;
   std::vector<std::uint32_t> free_slots_;  // LIFO

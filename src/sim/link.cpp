@@ -15,7 +15,7 @@ Link::Link(std::int32_t id, std::int32_t from_node, std::int32_t to_node,
   assert(cfg_.rate > 0);
 }
 
-void Link::enqueue(Sched& sched, Packet pkt) {
+void Link::enqueue(Sched& sched, const Packet& pkt) {
   if (!up_) {
     ++dead_drops_;
     return;
@@ -32,14 +32,16 @@ void Link::enqueue(Sched& sched, Packet pkt) {
     ++drops_;
     return;
   }
-  if (queued_bytes_ >= cfg_.ecn_threshold) {
-    pkt.ecn_ce = true;
-    ++ecn_marks_;
-  }
+  const bool mark = queued_bytes_ >= cfg_.ecn_threshold;
   queued_bytes_ += pkt.wire_size;
   if (count_ == ring_.size()) grow_ring();
-  ring_[(head_ + count_) & (ring_.size() - 1)] = pkt;
+  Packet& queued = ring_[(head_ + count_) & (ring_.size() - 1)];
+  queued = pkt;
   ++count_;
+  if (mark) {
+    queued.ecn_ce = true;
+    ++ecn_marks_;
+  }
 }
 
 void Link::grow_ring() {

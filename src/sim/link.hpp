@@ -39,7 +39,7 @@ class Link {
 
   // Queues the packet (possibly marking/dropping); starts transmitting if
   // idle. Called when a node forwards a packet onto this link.
-  void enqueue(Sched& sched, Packet pkt);
+  void enqueue(Sched& sched, const Packet& pkt);
 
   // kLinkDequeue handler: head packet finished serializing.
   void on_dequeue(Sched& sched);

@@ -63,7 +63,7 @@ class PacketNetwork final : public transport::TransportEnv,
   // process of the parallel engine); outside dispatch they fall back to
   // the serial simulator.
   [[nodiscard]] TimeNs now() const override;
-  void inject(std::int32_t host, Packet pkt) override;
+  void inject(std::int32_t host, const Packet& pkt) override;
   void set_timer(std::int32_t flow, TimeNs at, std::uint64_t gen) override;
   void flow_completed(std::int32_t flow, TimeNs when) override;
 
@@ -153,7 +153,7 @@ class PacketNetwork final : public transport::TransportEnv,
   // runner's own Sched implementations; pdes_end is run()'s epilogue.
   void pdes_begin(const std::vector<workload::FlowSpec>& flows);
   void pdes_end() { pending_flows_ = nullptr; }
-  void pdes_dispatch(Sched& s, const Event& e) { handle(s, e); }
+  void pdes_dispatch(Sched& s, Event& e) { handle(s, e); }
   [[nodiscard]] const NetworkConfig& config() const { return cfg_; }
   [[nodiscard]] std::int32_t num_switches() const { return num_switches_; }
   [[nodiscard]] std::int32_t num_nodes() const {
@@ -165,13 +165,14 @@ class PacketNetwork final : public transport::TransportEnv,
   }
 
  private:
-  void handle(Sched& s, const Event& e);
+  void handle(Sched& s, Event& e);
   // The Sched the current event is being dispatched under (thread-local),
   // or the serial simulator outside dispatch.
   [[nodiscard]] Sched& active_sched() const;
   void open_flows(const std::vector<workload::FlowSpec>& flows);
   Link& out_link(std::int32_t from_node, std::int32_t to_node);
-  void forward_at_switch(graph::NodeId sw, Packet pkt);
+  // Routes the arrived packet onward, advancing its route state in place.
+  void forward_at_switch(graph::NodeId sw, Packet& pkt);
   void apply_fault(const fault::FaultEvent& fe);
   void repair_routing();
   void sync_links_of_edge(graph::EdgeId e);

@@ -32,7 +32,10 @@ class Sched {
 
 class Simulator final : public Sched {
  public:
-  using Handler = std::function<void(const Event&)>;
+  // The handler may modify the event (a switch advances an arrival's
+  // route state in place): it is the loop's own copy, rewritten by the
+  // next pop.
+  using Handler = std::function<void(Event&)>;
 
   [[nodiscard]] TimeNs now() const override { return now_; }
 
@@ -51,9 +54,9 @@ class Simulator final : public Sched {
     schedule_packet(at, node, pkt, EventKey{});
   }
 
-  // Pre-sizes the event queue's far heap, where events beyond the current
-  // 65.5 us block wait (see EventQueue::reserve). Additive: callers
-  // reserve for what they are about to schedule.
+  // Pre-sizes the event queue's far heap, where events 4,096 ns or more
+  // past the last settle wait (see EventQueue::reserve). Additive:
+  // callers reserve for what they are about to schedule.
   void reserve_events(std::size_t n) { queue_.reserve(queue_.size() + n); }
 
   void set_handler(Handler h) { handler_ = std::move(h); }

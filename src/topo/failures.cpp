@@ -11,38 +11,6 @@
 
 namespace flexnets::topo {
 
-namespace {
-
-// Surviving (non-dead) switches of `g` stay mutually connected with the
-// flagged edges/switches removed; isolated dead switches are ignored.
-bool survivors_connected(const graph::Graph& g,
-                         const std::vector<char>& dead_edge,
-                         const std::vector<char>& dead_switch) {
-  std::vector<graph::Edge> kept;
-  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto& ed = g.edge(e);
-    if (!dead_edge[e] && !dead_switch[ed.a] && !dead_switch[ed.b]) {
-      kept.push_back(ed);
-    }
-  }
-  const graph::Graph live(g.num_nodes(), std::move(kept));
-  graph::NodeId root = graph::kInvalidNode;
-  for (graph::NodeId n = 0; n < g.num_nodes(); ++n) {
-    if (!dead_switch[n]) {
-      root = n;
-      break;
-    }
-  }
-  if (root == graph::kInvalidNode) return true;
-  const auto dist = graph::bfs_distances(live, root);
-  for (graph::NodeId n = 0; n < g.num_nodes(); ++n) {
-    if (!dead_switch[n] && dist[n] == graph::kUnreachable) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 Topology with_failed_links(const Topology& t, double fraction,
                            std::uint64_t seed) {
   return with_failed_links(t, fraction, seed, FailureOptions{});
@@ -67,7 +35,7 @@ Topology with_failed_links(const Topology& t, double fraction,
     if (to_remove == 0) break;
     removed[e] = 1;
     if (!opt.preserve_connectivity ||
-        survivors_connected(t.g, removed, no_dead_switch)) {
+        graph::survivors_connected(t.g, removed, no_dead_switch)) {
       --to_remove;
     } else {
       removed[e] = 0;  // cut edge; keep it
@@ -103,7 +71,7 @@ Topology with_failed_switches(const Topology& t, int count,
     if (!opt.allow_tor_failures && t.servers_per_switch()[n] > 0) continue;
     dead[n] = 1;
     if (opt.preserve_connectivity &&
-        !survivors_connected(t.g, no_dead_edge, dead)) {
+        !graph::survivors_connected(t.g, no_dead_edge, dead)) {
       dead[n] = 0;  // would partition the survivors; skip
       continue;
     }

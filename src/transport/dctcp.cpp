@@ -84,7 +84,7 @@ void DctcpEngine::handle_data(std::int32_t id, Flow& f,
   ack.flowlet = pkt.flowlet;
   ack.dst_tor = f.route.src_tor;
   ack.dst_host = f.src_host;
-  env_.inject(f.dst_host, std::move(ack));
+  env_.inject(f.dst_host, ack);
 
   if (!f.completed && !f.aborted && f.size_final && f.rcv_nxt >= f.size) {
     f.completed = true;
@@ -269,7 +269,7 @@ void DctcpEngine::send_segment(std::int32_t id, Flow& f, Bytes seq,
   pkt.dst_host = f.dst_host;
   router_.prepare(f.route, pkt, env_.now());
   ++f.data_packets_sent;
-  env_.inject(f.src_host, std::move(pkt));
+  env_.inject(f.src_host, pkt);
 }
 
 }  // namespace flexnets::transport

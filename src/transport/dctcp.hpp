@@ -43,7 +43,7 @@ class TransportEnv {
   virtual ~TransportEnv() = default;
   [[nodiscard]] virtual TimeNs now() const = 0;
   // Injects a packet at the given host's uplink.
-  virtual void inject(std::int32_t host, sim::Packet pkt) = 0;
+  virtual void inject(std::int32_t host, const sim::Packet& pkt) = 0;
   // Arms the flow's retransmission timer; only the latest generation is
   // live -- earlier generations must be ignored when they fire.
   virtual void set_timer(std::int32_t flow, TimeNs at, std::uint64_t gen) = 0;

@@ -102,6 +102,21 @@ TEST(Algorithms, DiameterAndMeanDistance) {
   EXPECT_TRUE(is_connected(g));
 }
 
+TEST(Algorithms, SurvivorsConnectedSkipsDeadEdgesAndNodes) {
+  // Cycle of 6 (edge i joins i and i+1): one dead edge leaves a path, a
+  // second one splits it, and a dead node splits the path unless the
+  // nodes it would strand are dead too.
+  const auto g = cycle_graph(6);
+  const std::vector<char> no_dead_node(6, 0);
+  EXPECT_TRUE(survivors_connected(g, {0, 0, 0, 0, 0, 0}, no_dead_node));
+  EXPECT_TRUE(survivors_connected(g, {1, 0, 0, 0, 0, 0}, no_dead_node));
+  EXPECT_FALSE(survivors_connected(g, {1, 0, 0, 1, 0, 0}, no_dead_node));
+  const std::vector<char> dead_edge0 = {1, 0, 0, 0, 0, 0};
+  EXPECT_FALSE(survivors_connected(g, dead_edge0, {0, 0, 1, 0, 0, 0}));
+  EXPECT_TRUE(survivors_connected(g, dead_edge0, {0, 1, 1, 0, 0, 0}));
+  EXPECT_TRUE(survivors_connected(g, dead_edge0, {1, 1, 1, 1, 1, 1}));
+}
+
 TEST(Algorithms, DiameterDisconnected) {
   Graph g(2);
   EXPECT_EQ(diameter(g), -1);

@@ -431,6 +431,206 @@ TEST(EventQueueDifferential, PushesBelowAPeekedHeadMatchReference) {
   }
 }
 
+// The timing wheel's window (sim/event_queue.hpp): an event less than this
+// far past the last settle is filed into the wheel, one at least this far
+// into the far heap.
+constexpr TimeNs kWheelWindow = 4096;
+
+// Offsets of 4,095, 4,096 and 4,097 ns straddle the wheel's edge. They are
+// taken from the last pop, or from a peeked head (a peek settles the queue
+// to its head), and mixed with dense ties.
+TEST(EventQueueDifferential, WindowEdgeOffsetsMatchReference) {
+  const CheckPolicyScope policy(CheckPolicy::kThrow);
+  const AuditScope audit(true);
+  for (const std::uint64_t seed : {101u, 102u, 103u, 104u}) {
+    Rng rng(seed);
+    QueueMirror m;
+    int from_head = 0;  // edge pushes measured from a peeked head
+    int op_index = 0;
+    for (int cycle = 0; cycle < 4; ++cycle) {
+      const int ops = 300 + static_cast<int>(rng.next_u64(300));
+      for (int op = 0; op < ops; ++op, ++op_index) {
+        const std::string where = "seed " + std::to_string(seed) + " op " +
+                                  std::to_string(op_index);
+        const auto r = rng.next_u64(10);
+        if (r < 5 || m.ref.empty()) {
+          TimeNs base = m.now;
+          if (!m.ref.empty() && rng.next_u64(2) == 0) {
+            base = m.q.top_time();
+            EXPECT_EQ(base, m.want()->time) << where << " top_time";
+            ++from_head;
+          }
+          const TimeNs offset =
+              rng.next_u64(3) == 0
+                  ? static_cast<TimeNs>(rng.next_u64(4))
+                  : kWheelWindow - 1 + static_cast<TimeNs>(rng.next_u64(3));
+          m.push(rng, base + offset);
+          continue;
+        }
+        ASSERT_EQ(m.q.size(), m.ref.size()) << where;
+        if (r == 9) {
+          expect_same_event(m.q.top(), *m.want(), true, where + " top");
+          continue;
+        }
+        m.pop(r >= 8, where);
+      }
+      m.drain("seed " + std::to_string(seed));
+    }
+    EXPECT_GT(from_head, 100) << "seed " << seed;
+  }
+}
+
+// Times just below and just above a multiple of 4,096 ns, whose slot
+// indices wrap from 4,095 to 0, mixed with offsets across the whole
+// window: the next occupied slot is then often below the last settle's.
+TEST(EventQueueDifferential, SlotIndexWrapsMatchReference) {
+  const CheckPolicyScope policy(CheckPolicy::kThrow);
+  const AuditScope audit(true);
+  for (const std::uint64_t seed : {111u, 112u, 113u, 114u}) {
+    Rng rng(seed);
+    QueueMirror m;
+    int wraps = 0;  // pops whose slot index is below the previous pop's
+    int op_index = 0;
+    for (int cycle = 0; cycle < 4; ++cycle) {
+      const int ops = 400 + static_cast<int>(rng.next_u64(400));
+      for (int op = 0; op < ops; ++op, ++op_index) {
+        const std::string where = "seed " + std::to_string(seed) + " op " +
+                                  std::to_string(op_index);
+        const auto r = rng.next_u64(10);
+        if (r < 5 || m.ref.empty()) {
+          const TimeNs edge =
+              (m.now / kWheelWindow + 1 +
+               static_cast<TimeNs>(rng.next_u64(2))) * kWheelWindow;
+          TimeNs t = 0;
+          switch (rng.next_u64(3)) {
+            case 0:
+              t = edge - 1 - static_cast<TimeNs>(rng.next_u64(4));
+              break;
+            case 1:
+              t = edge + static_cast<TimeNs>(rng.next_u64(4));
+              break;
+            default:
+              t = m.now + 1 +
+                  static_cast<TimeNs>(rng.next_u64(kWheelWindow - 1));
+          }
+          m.push(rng, std::max(t, m.now));
+          continue;
+        }
+        ASSERT_EQ(m.q.size(), m.ref.size()) << where;
+        if (r == 9) {
+          expect_same_event(m.q.top(), *m.want(), true, where + " top");
+          continue;
+        }
+        const TimeNs before = m.now;
+        m.pop(r >= 8, where);
+        wraps += m.now % kWheelWindow < before % kWheelWindow;
+      }
+      m.drain("seed " + std::to_string(seed));
+    }
+    EXPECT_GT(wraps, 30) << "seed " << seed;
+  }
+}
+
+// A target time first pushed more than a window ahead waits in the far
+// heap; once pops bring it within the window, later pushes at the same
+// time join the wheel. Depth, owner or oseq -- or, between keyless
+// events, the insertion seq -- must then order the far heap's entries
+// against the wheel's.
+TEST(EventQueueDifferential, FarAndWheelTiesMatchReference) {
+  const CheckPolicyScope policy(CheckPolicy::kThrow);
+  const AuditScope audit(true);
+  for (const std::uint64_t seed : {121u, 122u, 123u, 124u}) {
+    Rng rng(seed);
+    QueueMirror m;
+    TimeNs target = 0;
+    bool early = false;  // the target got a push a window or more ahead
+    bool late = false;   // ... and one less than a window ahead
+    int mixed = 0;       // targets that got both
+    int op_index = 0;
+    for (int cycle = 0; cycle < 4; ++cycle) {
+      const int ops = 400 + static_cast<int>(rng.next_u64(400));
+      for (int op = 0; op < ops; ++op, ++op_index) {
+        const std::string where = "seed " + std::to_string(seed) + " op " +
+                                  std::to_string(op_index);
+        const auto r = rng.next_u64(10);
+        if (r < 5 || m.ref.empty()) {
+          if (target <= m.now) {
+            mixed += early && late;
+            target = m.now + kWheelWindow +
+                     static_cast<TimeNs>(rng.next_u64(2 * kWheelWindow));
+            early = late = false;
+          }
+          // At the target, or a stepping stone before it.
+          if (rng.next_u64(2) == 0) {
+            (target - m.now >= kWheelWindow ? early : late) = true;
+            m.push(rng, target);
+          } else {
+            m.push(rng, m.now + static_cast<TimeNs>(rng.next_u64(
+                                    static_cast<std::uint64_t>(
+                                        target - m.now))));
+          }
+          continue;
+        }
+        ASSERT_EQ(m.q.size(), m.ref.size()) << where;
+        if (r == 9) {
+          expect_same_event(m.q.top(), *m.want(), true, where + " top");
+          continue;
+        }
+        m.pop(r >= 8, where);
+      }
+      m.drain("seed " + std::to_string(seed));
+    }
+    EXPECT_GT(mixed, 10) << "seed " << seed;
+  }
+}
+
+// Each cycle drains the queue, then resumes more than a window after the
+// last pop -- sometimes a whole number of windows, so the first slot
+// index repeats the stale settle time's -- with a burst that spans two
+// windows, followed by interleaved pushes and pops.
+TEST(EventQueueDifferential, DrainThenJumpPastTheWindowMatchesReference) {
+  const CheckPolicyScope policy(CheckPolicy::kThrow);
+  const AuditScope audit(true);
+  for (const std::uint64_t seed : {131u, 132u, 133u, 134u}) {
+    Rng rng(seed);
+    QueueMirror m;
+    int op_index = 0;
+    for (int cycle = 0; cycle < 16; ++cycle) {
+      const auto windows = static_cast<TimeNs>(1 + rng.next_u64(8));
+      const TimeNs resume =
+          m.now + windows * kWheelWindow +
+          (rng.next_u64(2) == 0 ? 0
+                                : 1 + static_cast<TimeNs>(
+                                          rng.next_u64(kWheelWindow - 1)));
+      const int burst = 1 + static_cast<int>(rng.next_u64(24));
+      for (int i = 0; i < burst; ++i) {
+        m.push(rng, resume + static_cast<TimeNs>(
+                                 rng.next_u64(2 * kWheelWindow)));
+      }
+      const int ops = 100 + static_cast<int>(rng.next_u64(100));
+      for (int op = 0; op < ops; ++op, ++op_index) {
+        const std::string where = "seed " + std::to_string(seed) + " op " +
+                                  std::to_string(op_index);
+        const auto r = rng.next_u64(10);
+        if (r < 4 || m.ref.empty()) {
+          const std::uint64_t span =
+              rng.next_u64(2) == 0 ? 4 : 2 * kWheelWindow;
+          m.push(rng, m.now + static_cast<TimeNs>(rng.next_u64(span)));
+          continue;
+        }
+        ASSERT_EQ(m.q.size(), m.ref.size()) << where;
+        if (r == 9) {
+          expect_same_event(m.q.top(), *m.want(), true, where + " top");
+          continue;
+        }
+        m.pop(r >= 8, where);
+      }
+      m.drain("seed " + std::to_string(seed) + " cycle " +
+              std::to_string(cycle));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Epoch-correctness property: on random topologies, workloads, thread
 // counts, and partitions, the PDES engine must (a) never dispatch an event

@@ -23,8 +23,9 @@ class PipeEnv final : public TransportEnv {
 
   [[nodiscard]] TimeNs now() const override { return sim_.now(); }
 
-  void inject(std::int32_t, sim::Packet pkt) override {
+  void inject(std::int32_t, const sim::Packet& sent) override {
     ++injected_;
+    sim::Packet pkt = sent;
     if (!pkt.is_ack) {
       ++data_packets_;
       if (mark_data_) pkt.ecn_ce = true;
@@ -33,7 +34,7 @@ class PipeEnv final : public TransportEnv {
         return;
       }
     }
-    sim_.schedule_packet(sim_.now() + delay_, 0, std::move(pkt));
+    sim_.schedule_packet(sim_.now() + delay_, 0, pkt);
   }
 
   void set_timer(std::int32_t flow, TimeNs at, std::uint64_t gen) override {
